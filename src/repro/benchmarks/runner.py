@@ -65,11 +65,8 @@ PRIMARY_METRIC = {
     "kernel": "events_per_s",
     "vllm_e2e": "sim_s_per_wall_s",
     "flexgen_e2e": "sim_s_per_wall_s",
-    "flexgen_e2e_fastpath": "sim_s_per_wall_s",
     "cluster": "sim_s_per_wall_s",
-    "cluster_fastpath": "sim_s_per_wall_s",
-    # Modeled transfers retired per wall second on the DMA hot loop
-    # (BENCH_7); the events-per-transfer reduction rides alongside.
+    # Modeled transfers retired per wall second on the DMA hot loop.
     "transfer": "transfers_per_s",
     # Cold-vs-warm-cache speedup: nearly hardware-independent, unlike
     # the core-count-bounded parallel ``speedup`` reported alongside.
@@ -91,22 +88,12 @@ def run_bench(
     names: Optional[Iterable[str]] = None,
     quick: bool = False,
     jobs: int = 1,
-    scheduler: str = "heap",
-    transfer_fastpath: bool = False,
 ) -> dict:
     """Run the named scenarios (default: all) and return the BENCH doc.
 
     ``jobs`` is forwarded to every scenario that declares a ``jobs``
     parameter (the kernel repeat loop and the experiment fan-out); the
-    default of 1 keeps timed regions uncontended.  ``scheduler``
-    selects the kernel schedule backend for every scenario that
-    declares a ``scheduler`` parameter (see ``--scheduler`` on the
-    CLI); scenario metrics record which backend produced them, and
-    :func:`compare_bench` refuses to gate across mismatched backends.
-    ``transfer_fastpath`` likewise flows to every scenario declaring
-    the parameter (the e2e rigs and the ``transfer`` A/B) — recorded
-    per scenario and never gated across a toggle mismatch.  The
-    artifact records ``jobs`` plus aggregate run-cache hit/miss counts.
+    default of 1 keeps timed regions uncontended.  The artifact records ``jobs`` plus aggregate run-cache hit/miss counts.
     """
     selected = list(names) if names else list(SCENARIOS)
     unknown = [n for n in selected if n not in SCENARIOS]
@@ -119,8 +106,6 @@ def run_bench(
         "bench_index": BENCH_INDEX,
         "quick": quick,
         "jobs": jobs,
-        "scheduler": scheduler,
-        "transfer_fastpath": transfer_fastpath,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "baseline": dict(RECORDED_BASELINE),
@@ -129,13 +114,8 @@ def run_bench(
     for name in selected:
         fn = SCENARIOS[name]
         kwargs = {"quick": quick}
-        params = inspect.signature(fn).parameters
-        if "jobs" in params:
+        if "jobs" in inspect.signature(fn).parameters:
             kwargs["jobs"] = jobs
-        if "scheduler" in params:
-            kwargs["scheduler"] = scheduler
-        if "transfer_fastpath" in params:
-            kwargs["transfer_fastpath"] = transfer_fastpath
         doc["scenarios"][name] = fn(**kwargs)
     doc["cache"] = {
         "hits": sum(
@@ -198,15 +178,9 @@ def compare_bench(
     Returns ``(regressions, report_lines)``: a regression is a scenario
     whose primary metric fell more than ``tolerance`` (fractional) below
     the baseline document's value.  Scenarios present in only one
-    document are reported but never gate.
-
-    The gate only compares like-for-like: a scenario measured under a
-    different schedule backend than the baseline's (the recorded
-    ``scheduler`` field; absent means the historical ``"heap"``) is
-    reported but never gated, since raw events/s across backends is an
-    A/B comparison, not a regression signal.  Likewise the coarsened
-    companion metrics (``token_steps_per_s`` etc.) are informational —
-    only the raw primary metric gates.
+    document are reported but never gate.  The coarsened companion
+    metrics (``token_steps_per_s`` etc.) are informational — only the
+    raw primary metric gates.
     """
     if not 0 <= tolerance < 1:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
@@ -220,25 +194,6 @@ def compare_bench(
         base_metrics = base_scenarios.get(name)
         if not base_metrics or primary not in base_metrics:
             lines.append(f"{name}: no baseline value (new scenario)")
-            continue
-        cur_sched = metrics.get("scheduler") or "heap"
-        base_sched = base_metrics.get("scheduler") or "heap"
-        if cur_sched != base_sched:
-            lines.append(
-                f"{name}: scheduler {cur_sched!r} vs baseline "
-                f"{base_sched!r} — not like-for-like, not gated"
-            )
-            continue
-        # Same rule for the transfer fast path (absent means the
-        # historical Resource path): the toggle changes the event
-        # economics, so cross-toggle numbers are an A/B, not a gate.
-        cur_fast = bool(metrics.get("transfer_fastpath", False))
-        base_fast = bool(base_metrics.get("transfer_fastpath", False))
-        if cur_fast != base_fast:
-            lines.append(
-                f"{name}: transfer_fastpath {cur_fast} vs baseline "
-                f"{base_fast} — not like-for-like, not gated"
-            )
             continue
         cur, base = metrics[primary], base_metrics[primary]
         ratio = cur / base if base else float("inf")

@@ -10,10 +10,8 @@ a flat metrics dict.  Three layers of the stack are covered:
   how much faster than realtime a full rig simulates.
 * ``cluster`` — the 8-GPU NVSwitch stress rig (four consumer/producer
   pairs sharing one fabric), the heaviest standard configuration.
-* ``transfer`` — the DMA/offload hot loop alone, A/B'd across the
-  Resource path and the analytic channel-timeline fast path (BENCH_7;
-  ``flexgen_e2e_fastpath`` / ``cluster_fastpath`` are the e2e rigs
-  with the fast path pinned on).
+* ``transfer`` — the DMA/offload hot loop alone: a storm of copies
+  over the NVSwitch fabric, measured in transfers per wall second.
 * ``runall_parallel`` — the experiment layer: a fixed subset of
   independent simulation cells run serially, fanned out over the
   process pool, and replayed from a warm run cache (PR 5; see
@@ -27,9 +25,8 @@ Methodology notes
   regressions can be told apart from noise.
 * Delays are precomputed per process so the generator body is nothing
   but the yield — the benchmark measures the kernel, not arithmetic.
-* Workers use bare-delay yields (``yield d``) when the kernel supports
-  them and fall back to ``yield env.timeout(d)`` on kernels that
-  predate the fast path, so one harness can A/B both.
+* Workers use bare-delay yields (``yield d``), the kernel's cheapest
+  sleep.
 * GC stays enabled: disabling it flatters allocation-heavy code, and
   real runs (pytest, the CLI) keep it on.
 """
@@ -39,7 +36,6 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.sim import core as sim_core
 from repro.sim import Environment
 
 #: Registry of scenario name -> fn(quick) -> metrics dict.  Order is
@@ -55,22 +51,16 @@ def scenario(fn: Callable[[bool], dict]) -> Callable[[bool], dict]:
 # ---------------------------------------------------------------------------
 # Kernel microbenchmark
 # ---------------------------------------------------------------------------
-def _kernel_round(
-    n_processes: int, hops: int, scheduler: str = "heap", coarsen: int = 1
-) -> float:
+def _kernel_round(n_processes: int, hops: int, coarsen: int = 1) -> float:
     """One timed run of the process/sleep microbenchmark; returns wall s.
 
-    ``scheduler`` selects the kernel schedule backend.  ``coarsen > 1``
-    is the microbenchmark analogue of time-warp decode coarsening: each
-    worker still models ``hops`` per-token steps of simulated time, but
-    fuses every ``coarsen`` consecutive delays into one aggregate sleep
-    — same simulated horizon, ~``coarsen``x fewer kernel events.
+    ``coarsen > 1`` is the microbenchmark analogue of time-warp decode
+    coarsening: each worker still models ``hops`` per-token steps of
+    simulated time, but fuses every ``coarsen`` consecutive delays into
+    one aggregate sleep — same simulated horizon, ~``coarsen``x fewer
+    kernel events.
     """
-    try:
-        env = Environment(scheduler=scheduler)
-    except TypeError:  # pre-pluggable kernels (A/B harness support)
-        env = Environment()
-    bare = getattr(sim_core, "SUPPORTS_BARE_DELAY", False)
+    env = Environment()
 
     # Precompute each worker's delay sequence (7 distinct values keeps
     # the schedule honest without putting arithmetic on the timed path).
@@ -87,18 +77,9 @@ def _kernel_round(
             for delays in all_delays
         ]
 
-    if bare:
-
-        def worker(delays):
-            for d in delays:
-                yield d
-
-    else:
-
-        def worker(delays):
-            timeout = env.timeout
-            for d in delays:
-                yield timeout(d)
+    def worker(delays):
+        for d in delays:
+            yield d
 
     for delays in all_delays:
         env.process(worker(delays))
@@ -123,13 +104,13 @@ KERNEL_COARSEN = 8
 
 
 @scenario
-def kernel(quick: bool = False, jobs: int = 1, scheduler: str = "heap") -> dict:
+def kernel(quick: bool = False, jobs: int = 1) -> dict:
     n_processes, hops = (100, 60) if quick else (200, 200)
     repeats = 3 if quick else 7
     # One untimed warm-up round: the first run in a fresh process pays
     # import-cold caches and allocator growth that no steady-state
     # caller of the kernel pays.
-    _kernel_round(n_processes, hops, scheduler=scheduler)
+    _kernel_round(n_processes, hops)
     # The repeat loop submits through the experiment pool; ``jobs=1``
     # (the bench default) is the historical inline loop, ``jobs>1``
     # gives each repeat its own core.  Each round times itself, so the
@@ -144,7 +125,6 @@ def kernel(quick: bool = False, jobs: int = 1, scheduler: str = "heap") -> dict:
                 kwargs={
                     "n_processes": n_processes,
                     "hops": hops,
-                    "scheduler": scheduler,
                     "coarsen": coarsen,
                 },
                 label=f"kernel round {i} (coarsen={coarsen})",
@@ -177,8 +157,6 @@ def kernel(quick: bool = False, jobs: int = 1, scheduler: str = "heap") -> dict:
         "wall_s_best": best,
         "wall_s_spread": max(walls) - best,
         "repeats": repeats,
-        "bare_delay_yields": getattr(sim_core, "SUPPORTS_BARE_DELAY", False),
-        "scheduler": scheduler,
         "token_steps": token_steps,
         "token_steps_per_s": token_steps / coarse_best,
         "coarsen": KERNEL_COARSEN,
@@ -211,29 +189,24 @@ def _best_of(run_once: Callable[[], tuple], repeats: int = E2E_REPEATS) -> tuple
     return env, best, max(walls) - best, tokens
 
 
-def _e2e_metrics(
-    env: Environment, sim_s: float, wall_s: float, transfer_fastpath: bool = False
-) -> dict:
+def _e2e_metrics(env: Environment, sim_s: float, wall_s: float) -> dict:
     out = {
         "sim_s": sim_s,
         "wall_s": wall_s,
         "sim_s_per_wall_s": sim_s / wall_s,
     }
-    processed = getattr(env, "events_processed", None)
-    if processed is not None:
-        # Raw kernel events: deflated by design under decode coarsening
-        # (that is the point), so BENCH artifacts carry modeled tokens
-        # alongside and the regression gate never compares events/s
-        # across different coarsening or scheduler settings.
-        out["events"] = processed
-        out["events_per_s"] = processed / wall_s
-    out["scheduler"] = getattr(env, "scheduler", "heap")
-    out["transfer_fastpath"] = transfer_fastpath
+    # Raw kernel events: deflated by design under decode coarsening
+    # (that is the point), so BENCH artifacts carry modeled tokens
+    # alongside and the regression gate never compares events/s across
+    # different coarsening settings.
+    processed = env.events_processed
+    out["events"] = processed
+    out["events_per_s"] = processed / wall_s
     return out
 
 
 @scenario
-def vllm_e2e(quick: bool = False, scheduler: str = "heap") -> dict:
+def vllm_e2e(quick: bool = False) -> dict:
     """A loaded vLLM engine on one GPU (continuous batching hot loop)."""
     from repro.hardware import Server
     from repro.models import MISTRAL_7B
@@ -244,7 +217,7 @@ def vllm_e2e(quick: bool = False, scheduler: str = "heap") -> dict:
     duration, count = (30.0, 50) if quick else (120.0, 200)
 
     def once():
-        env = Environment(scheduler=scheduler)
+        env = Environment()
         server = Server(env, n_gpus=1)
         engine = VLLMEngine(server.gpus[0], server, MISTRAL_7B)
         engine.start()
@@ -263,9 +236,7 @@ def vllm_e2e(quick: bool = False, scheduler: str = "heap") -> dict:
 
 
 @scenario
-def flexgen_e2e(
-    quick: bool = False, scheduler: str = "heap", transfer_fastpath: bool = False
-) -> dict:
+def flexgen_e2e(quick: bool = False) -> dict:
     """The offloading rig of the determinism golden: FlexGen consumer +
     LLM producer over AQUA, long-prompt and ShareGPT traffic."""
     from repro.experiments.harness import build_consumer_rig
@@ -278,8 +249,7 @@ def flexgen_e2e(
 
     def once():
         rig = build_consumer_rig(
-            "flexgen", OPT_30B, producer_model=LLAMA2_13B, use_aqua=True,
-            scheduler=scheduler, transfer_fastpath=transfer_fastpath,
+            "flexgen", OPT_30B, producer_model=LLAMA2_13B, use_aqua=True
         )
         rig.start()
         submit_all(rig.env, rig.consumer_engine, long_prompt_requests(start=2.0))
@@ -293,7 +263,7 @@ def flexgen_e2e(
         return rig.env, wall, rig.consumer_engine.metrics.tokens_generated
 
     env, wall, spread, tokens = _best_of(once)
-    out = _e2e_metrics(env, duration, wall, transfer_fastpath=transfer_fastpath)
+    out = _e2e_metrics(env, duration, wall)
     out["wall_s_spread"] = spread
     out["tokens"] = tokens
     out["tokens_per_wall_s"] = tokens / wall
@@ -301,21 +271,7 @@ def flexgen_e2e(
 
 
 @scenario
-def flexgen_e2e_fastpath(quick: bool = False, scheduler: str = "heap") -> dict:
-    """``flexgen_e2e`` with the analytic transfer fast path pinned on.
-
-    Same modeled behaviour (the golden-digest tests prove it bit-equal);
-    only the per-copy event count drops.  Recorded as its own scenario
-    so BENCH artifacts carry the on/off pair side by side and the
-    regression gate never crosses the toggle.
-    """
-    return flexgen_e2e(quick=quick, scheduler=scheduler, transfer_fastpath=True)
-
-
-@scenario
-def cluster(
-    quick: bool = False, scheduler: str = "heap", transfer_fastpath: bool = False
-) -> dict:
+def cluster(quick: bool = False) -> dict:
     """8-GPU NVSwitch stress: four consumer/producer pairs, one fabric."""
     from repro.aqua import Coordinator
     from repro.experiments.harness import build_consumer_rig
@@ -327,11 +283,8 @@ def cluster(
     duration = 5.0 if quick else 20.0
 
     def once():
-        env = Environment(scheduler=scheduler)
-        server = Server(
-            env, n_gpus=8, topology="nvswitch",
-            transfer_fastpath=transfer_fastpath,
-        )
+        env = Environment()
+        server = Server(env, n_gpus=8, topology="nvswitch")
         coordinator = Coordinator()
         rigs = []
         for i, producer_model in enumerate((SD_15, SD_XL, KANDINSKY, AUDIOGEN)):
@@ -359,40 +312,30 @@ def cluster(
         return env, wall, tokens
 
     env, wall, spread, tokens = _best_of(once)
-    out = _e2e_metrics(env, duration, wall, transfer_fastpath=transfer_fastpath)
+    out = _e2e_metrics(env, duration, wall)
     out["wall_s_spread"] = spread
     out["tokens"] = tokens
     out["tokens_per_wall_s"] = tokens / wall
     return out
 
 
-@scenario
-def cluster_fastpath(quick: bool = False, scheduler: str = "heap") -> dict:
-    """``cluster`` with the analytic transfer fast path pinned on — the
-    configuration whose copy bookkeeping dominated before this PR."""
-    return cluster(quick=quick, scheduler=scheduler, transfer_fastpath=True)
-
-
 # ---------------------------------------------------------------------------
-# The DMA hot loop itself (BENCH_7)
+# The DMA hot loop itself
 # ---------------------------------------------------------------------------
-def _transfer_storm(transfer_fastpath: bool, rounds: int) -> tuple:
+def _transfer_storm(rounds: int) -> tuple:
     """Offload-heavy pure-transfer workload on the 8-GPU NVSwitch fabric.
 
     Four consumer/producer pairs ping-pong gather/fetch payloads over
-    the switch (2-hop routes: the expensive case for the Resource path,
-    at 4 events per copy) with periodic PCIe spills, while a second
-    process per pair hammers the same route so a realistic fraction of
-    copies is *contended* (fast-path cost 2 events instead of 1).
-    Returns ``(env, wall_s, stats_fingerprint, transfers)``.
+    the switch (2-hop routes, at 4 events per copy) with periodic PCIe
+    spills, while a second process per pair hammers the same route so
+    a realistic fraction of copies is *contended*.  Returns
+    ``(env, wall_s, transfers)``.
     """
     from repro.hardware import Server
 
     MiB = float(2**20)
     env = Environment()
-    server = Server(
-        env, n_gpus=8, topology="nvswitch", transfer_fastpath=transfer_fastpath
-    )
+    server = Server(env, n_gpus=8, topology="nvswitch")
 
     def pair_traffic(consumer, producer):
         for i in range(rounds):
@@ -404,7 +347,7 @@ def _transfer_storm(transfer_fastpath: bool, rounds: int) -> tuple:
 
     def contender(consumer, producer):
         # Same route as the pair's main traffic: these copies queue
-        # behind it, exercising the analytic grant-wait (SleepUntil).
+        # behind it in the channels' FIFO order.
         for _ in range(rounds // 2):
             yield from server.transfer(consumer, producer, 8 * MiB)
 
@@ -415,75 +358,29 @@ def _transfer_storm(transfer_fastpath: bool, rounds: int) -> tuple:
     started = time.perf_counter()
     env.run()
     wall = time.perf_counter() - started
-    stats = server.transfer_stats
-    fingerprint = (
-        stats.count,
-        stats.bytes_total,
-        repr(stats.busy_time),
-        tuple(sorted(stats.per_route.items())),
-        tuple(
-            (name, ch.bytes_moved, ch.transfer_count)
-            for name, ch in sorted(server.interconnect.channels.items())
-        ),
-        repr(env.now),
-    )
-    return env, wall, fingerprint, stats.count
+    return env, wall, server.transfer_stats.count
 
 
 @scenario
-def transfer(quick: bool = False, transfer_fastpath: bool = False) -> dict:
-    """The DMA/offload hot loop, A/B'd across both transfer paths.
+def transfer(quick: bool = False) -> dict:
+    """The DMA/offload hot loop: a deterministic transfer storm.
 
-    Runs the same deterministic transfer storm under the Resource path
-    and under the analytic fast path, asserting the two runs agree on
-    every aggregate (count, bytes, busy time, per-route and per-channel
-    ledgers, final clock) before reporting.  ``event_reduction`` is the
-    events-per-completed-transfer ratio (the ≥2x BENCH_7 headline);
     ``transfers_per_s`` — the gated primary metric — is modeled
-    transfers retired per wall second under the mode selected by
-    ``transfer_fastpath`` (the harness toggle), so the regression gate
-    stays like-for-like with the artifact's recorded toggle.
+    transfers retired per wall second, best of ``repeats`` runs.
     """
     rounds = 250 if quick else 1500
     repeats = 3 if quick else E2E_REPEATS
 
-    def measure(fastpath: bool) -> tuple:
-        best_wall, env, fingerprint, transfers = None, None, None, None
-        for _ in range(repeats):
-            env, wall, fingerprint, transfers = _transfer_storm(fastpath, rounds)
-            if best_wall is None or wall < best_wall:
-                best_wall = wall
-        return env, best_wall, fingerprint, transfers
-
-    env_off, wall_off, fp_off, transfers_off = measure(False)
-    env_on, wall_on, fp_on, transfers_on = measure(True)
-    identical = fp_off == fp_on
-    if not identical:  # pragma: no cover - the equivalence tests pin this
-        raise AssertionError(
-            "transfer fast path diverged from the Resource path on the "
-            f"bench workload:\n  off {fp_off}\n  on  {fp_on}"
-        )
-    events_off = env_off.events_processed
-    events_on = env_on.events_processed
-    per_off = events_off / transfers_off
-    per_on = events_on / transfers_on
-    wall = wall_on if transfer_fastpath else wall_off
+    env, wall, spread, transfers = _best_of(lambda: _transfer_storm(rounds), repeats)
+    events = env.events_processed
     return {
-        "transfers": transfers_off,
-        "transfers_per_s": transfers_off / wall,
-        "transfers_per_s_off": transfers_off / wall_off,
-        "transfers_per_s_on": transfers_on / wall_on,
-        "wall_s_off": wall_off,
-        "wall_s_on": wall_on,
-        "speedup": wall_off / wall_on,
-        "events_off": events_off,
-        "events_on": events_on,
-        "events_per_transfer_off": per_off,
-        "events_per_transfer_on": per_on,
-        "event_reduction": per_off / per_on,
-        "identical": identical,
+        "transfers": transfers,
+        "transfers_per_s": transfers / wall,
+        "wall_s": wall,
+        "wall_s_spread": spread,
+        "events": events,
+        "events_per_transfer": events / transfers,
         "repeats": repeats,
-        "transfer_fastpath": transfer_fastpath,
     }
 
 

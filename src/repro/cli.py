@@ -427,8 +427,6 @@ def cmd_bench(args) -> int:
         args.scenarios or None,
         quick=args.quick,
         jobs=args.jobs,
-        scheduler=args.scheduler,
-        transfer_fastpath=args.transfer_fastpath,
     )
     rows = []
     for name, metrics in doc["scenarios"].items():
@@ -643,9 +641,7 @@ def _add_observability_arguments(
     ``resilience`` and ``observe`` handle the flags themselves (their
     experiments return observability exports directly); every other
     command gets an ambient :func:`repro.telemetry.capture_observability`
-    wrapped around the run by :func:`main`.  Like ``--trace``, the
-    ambient spec does not cross process boundaries — combine with
-    ``--jobs 1`` on pooled commands to scrape the rigs in-process.
+    wrapped around the run by :func:`main`.
     """
     parser.add_argument(
         "--scrape-interval",
@@ -949,27 +945,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed fractional slowdown before a scenario counts as regressed",
     )
     p.add_argument("--list", action="store_true", help="list scenarios and exit")
-    p.add_argument(
-        "--scheduler",
-        choices=["heap", "calendar"],
-        default="heap",
-        help=(
-            "kernel schedule backend: the default binary heap, or the "
-            "calendar queue for high event density (docs/performance.md)"
-        ),
-    )
-    p.add_argument(
-        "--transfer-fastpath",
-        action="store_true",
-        help=(
-            "run scenarios with the analytic channel-timeline DMA fast "
-            "path (semantics-identical; see docs/performance.md) — "
-            "recorded per scenario, and the regression gate never "
-            "compares across the toggle"
-        ),
-    )
     _add_jobs_argument(p, default=1)
     return parser
+
+
+def _run_in_process(args) -> None:
+    """Force a command under an ambient capture to run in this process.
+
+    The ambient trace / observability captures only see rigs built in
+    this process: pool workers and run-cache replays would leave them
+    empty.  So the command runs serially (``--jobs 1``) and bypasses
+    the run cache, with one note on stderr when that overrides a flag.
+    """
+    overridden = []
+    if getattr(args, "jobs", 1) != 1:
+        args.jobs = 1
+        overridden.append("--jobs 1")
+    if getattr(args, "no_cache", True) is False:
+        args.no_cache = True
+        overridden.append("--no-cache")
+    if overridden:
+        print(
+            "note: --trace/--scrape-interval/--dashboard capture this process "
+            f"only; running with {' '.join(overridden)}",
+            file=sys.stderr,
+        )
 
 
 def main(argv=None) -> int:
@@ -991,6 +991,8 @@ def main(argv=None) -> int:
         if ambient and hasattr(args, "scrape_interval")
         else None
     )
+    if trace_path or scrape_interval is not None:
+        _run_in_process(args)
     obs_spec = None
     with ExitStack() as stack:
         if trace_path:
@@ -1013,10 +1015,7 @@ def main(argv=None) -> int:
     if obs_spec is not None:
         hubs = obs_spec["hubs"]
         if not hubs:
-            print(
-                "observability: no rig ran in-process (pooled commands "
-                "need --jobs 1 for --scrape-interval/--dashboard)"
-            )
+            print("observability: the command built no rig to scrape")
         else:
             # Several rigs may have adopted the spec (multi-system
             # figures); summarise and chart the busiest one.

@@ -100,9 +100,7 @@ def build_consumer_rig(
     scrape_interval: Optional[float] = None,
     slo_policy=None,
     postmortem_dir: Optional[str] = None,
-    scheduler: str = "heap",
     decode_coarsen: int = 1,
-    transfer_fastpath: bool = False,
 ) -> ConsumerRig:
     """Build a consumer/producer pair.
 
@@ -146,22 +144,11 @@ def build_consumer_rig(
         scrape tick (requires ``scrape_interval`` or an ambient spec).
     postmortem_dir:
         Directory for flight-recorder post-mortem bundles.
-    scheduler:
-        Kernel schedule backend for the rig's :class:`Environment`
-        (``"heap"`` default, ``"calendar"`` for high event density; see
-        :mod:`repro.sim.schedulers`).  Ignored when an existing ``env``
-        is passed in.
     decode_coarsen:
         Time-warp decode-coarsening window forwarded to the consumer
         engine (and a BatchEngine producer).  Default 1 keeps the exact
         per-token paths; see ``docs/performance.md`` for the fidelity
         trade-offs.
-    transfer_fastpath:
-        Enable the analytic channel-timeline fast path for the rig's
-        DMA transfers (see ``docs/performance.md``).  Applied to the
-        rig's server — including one passed in via ``server`` — and
-        semantics-identical to the default Resource path (audit digests
-        are unchanged either way).
     """
     if consumer_kind not in ("vllm", "cfs", "flexgen"):
         raise ValueError(f"unknown consumer kind {consumer_kind!r}")
@@ -171,15 +158,10 @@ def build_consumer_rig(
         producer_model = get_model(producer_model)
 
     if env is None:
-        env = Environment(scheduler=scheduler)
+        env = Environment()
     if server is None:
         n_gpus = max(consumer_gpu, producer_gpu) + 1 if producer_model else consumer_gpu + 1
-        server = Server(
-            env, n_gpus=max(2, n_gpus), topology="p2p",
-            transfer_fastpath=transfer_fastpath,
-        )
-    elif transfer_fastpath:
-        server.interconnect.transfer_fastpath = True
+        server = Server(env, n_gpus=max(2, n_gpus), topology="p2p")
     coordinator = coordinator or Coordinator()
     kwargs = dict(consumer_kwargs or {})
     if decode_coarsen != 1:

@@ -114,14 +114,6 @@ class FaultInjector:
                 targets = self._resolve_channels(fault.channel)
             else:
                 targets = [self._resolve_gpu(fault.gpu)]
-            # Invalidate the targets' analytic transfer timelines for
-            # the fault's whole lifetime, starting *now*: the DMA fast
-            # path cannot anticipate a mid-flight health flip, so every
-            # copy touching a marked channel/GPU runs on the exact
-            # Resource path until the fault clears (see
-            # Channel.fault_scheduled).
-            for target in targets:
-                target.fault_scheduled += 1
             proc = self.env.process(self._drive(fault, targets))
             spawned.append(proc)
         self._processes.extend(spawned)
@@ -157,22 +149,9 @@ class FaultInjector:
             applied = True
             yield self.env.timeout(fault.duration)
             self._clear(fault, targets)
-            self._unmark(targets)
         except Interrupt:
             if applied:
                 self._clear(fault, targets)
-            self._unmark(targets)
-
-    @staticmethod
-    def _unmark(targets: list) -> None:
-        """Lift the fast-path invalidation once a fault is done with.
-
-        Runs on the scheduled clear and on :meth:`cancel`'s interrupt —
-        but, like :meth:`_clear`, *not* on end-of-run truncation, which
-        leaves the marker (harmlessly) set on a finished simulation.
-        """
-        for target in targets:
-            target.fault_scheduled -= 1
 
     def _apply(self, fault: Fault, targets: list) -> None:
         if isinstance(fault, LinkDegradation):

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Hashable, Optional, Seque
 
 from repro.hardware.gpu import GPU
 from repro.hardware.interconnect import Channel, Interconnect, Route
-from repro.sim import AllOf, Environment, SleepUntil
+from repro.sim import AllOf, Environment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -114,13 +114,6 @@ class Transfer:
     ctx:
         Trace ID of the request this copy serves (``None`` when the
         copy is not request-scoped — producer swaps, cache loads).
-    fastpath:
-        Per-transfer override of the interconnect's
-        :attr:`~repro.hardware.interconnect.Interconnect.transfer_fastpath`
-        toggle (``None`` defers to it).  Even when enabled the fast
-        path only *engages* when the route is eligible — healthy, no
-        fault schedule pending, channels idle or fast-owned — and
-        silently falls back to the Resource path otherwise.
     """
 
     def __init__(
@@ -134,7 +127,6 @@ class Transfer:
         stats: Optional[TransferStats] = None,
         telemetry=None,
         ctx: Optional[int] = None,
-        fastpath: Optional[bool] = None,
     ) -> None:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
@@ -149,11 +141,6 @@ class Transfer:
         self.stats = stats
         self.telemetry = telemetry
         self.ctx = ctx
-        self.fastpath = fastpath
-        #: Which path executed this copy: ``"fast"`` (analytic channel
-        #: timelines) or ``"resource"`` (the exact FIFO path).  ``None``
-        #: until the transfer runs.  Diagnostic only.
-        self.path: Optional[str] = None
         self.started_at: Optional[float] = None
         #: When every channel grant was held — ``acquired_at - started_at``
         #: is the link-contention wait this copy paid.
@@ -192,102 +179,6 @@ class Transfer:
         if stalled:
             raise TransferStalled(f"stalled channel(s): {', '.join(stalled)}")
 
-    def _fast_eligible(self, ordered: Sequence[Channel]) -> bool:
-        """Whether the analytic fast path may model this copy.
-
-        Beyond the toggle, eligibility demands a route on which the
-        closed-form grant rule is *provably* the Resource FIFO's answer:
-
-        * every hop is healthy (full bandwidth, not stalled) with no
-          fault schedule pending on it or on an endpoint GPU — a future
-          health flip would invalidate the precomputed timeline;
-        * every hop's engine is an exclusive (capacity-1) resource whose
-          queue is empty and whose only user, if any, is the channel's
-          own fast token.  A queued or granted Resource request means a
-          generator-path transfer is interleaved on this channel, and
-          new arrivals must queue behind it the exact way.
-        """
-        enabled = self.fastpath
-        if enabled is None:
-            enabled = self.interconnect.transfer_fastpath
-        if not enabled:
-            return False
-        for ch in ordered:
-            if ch.fault_scheduled or not ch.healthy:
-                return False
-            engine = ch.engine
-            if engine.capacity != 1 or engine.queue:
-                return False
-            if engine.users and not ch.fast_inflight:
-                return False
-        for gpu in self._endpoints():
-            if gpu.fault_scheduled:
-                return False
-        return True
-
-    def _run_fast(self, route: Route, ordered: list[Channel]) -> Generator:
-        """Closed-form copy: one or two events instead of ``hops + 2``.
-
-        The grant instant is the FIFO-consistent maximum over the route
-        cursors (hold-while-waiting: a transfer's requests are issued
-        atomically at arrival, so per-channel grant order equals arrival
-        order and each cursor *is* the completion of the last earlier
-        claimant).  Cursors advance to the completion immediately, so
-        later arrivals — fast or generator — see this copy's occupancy
-        at once, exactly like the Resource path's synchronous
-        ``users``/``queue`` bookkeeping.
-        """
-        env = self.env
-        now = env.now
-        grant = now
-        for ch in ordered:
-            if ch.fast_inflight and ch.busy_until > grant:
-                grant = ch.busy_until
-        duration = self.wire_time(route)
-        completion = grant + duration
-        for ch in ordered:
-            if not ch.fast_inflight:
-                # First fast claimant: park the token so generator-path
-                # arrivals queue behind the analytic pipeline.
-                ch.engine.users.append(ch.fast_token)
-            ch.fast_inflight += 1
-            ch.busy_until = completion
-        endpoints = self._endpoints()
-        try:
-            if grant > now:
-                yield SleepUntil(env, grant)
-            self.acquired_at = env.now
-            for gpu in endpoints:
-                gpu.active_copies += 1
-            try:
-                # Bare-delay yield, as on the Resource path: same
-                # timestamp and tie-break ordering as env.timeout().
-                yield duration
-            finally:
-                for gpu in endpoints:
-                    gpu.active_copies -= 1
-            for channel in ordered:
-                channel.record(self.nbytes)
-            self.finished_at = env.now
-            if self.stats is not None:
-                route_name = f"{getattr(self.src, 'name', self.src)}->" f"{getattr(self.dst, 'name', self.dst)}"
-                self.stats.record(route_name, self.nbytes, duration, channels=ordered)
-            if self.telemetry is not None:
-                self.telemetry.record_transfer(self, ordered)
-        finally:
-            # On the normal exit this runs at the analytically scheduled
-            # completion == each cursor's value, so an emptied channel's
-            # cursor never points into the future.  An abnormal exit
-            # (interrupt mid-grant-wait) leaves the cursors advanced — a
-            # deterministic phantom busy window, conservative and safe —
-            # but still surrenders the channels.
-            for ch in ordered:
-                ch.fast_inflight -= 1
-                if not ch.fast_inflight:
-                    ch.engine.users.remove(ch.fast_token)
-                    ch.engine._grant_next()
-        return self
-
     def run(self) -> Generator:
         """Execute the copy; use as ``yield from transfer.run()``.
 
@@ -306,10 +197,6 @@ class Transfer:
         route = self.interconnect.route(self.src, self.dst)
         self._check_health(route)
         ordered = route.sorted_channels
-        if self._fast_eligible(ordered):
-            self.path = "fast"
-            return (yield from self._run_fast(route, ordered))
-        self.path = "resource"
         # Deadlock-free acquisition: all requests issued together, granted
         # in each channel's FIFO order, and we proceed once all are held.
         requests = [ch.engine.request() for ch in ordered]

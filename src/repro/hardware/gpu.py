@@ -122,13 +122,6 @@ class GPU:
         #: :class:`~repro.hardware.dma.GpuFailedError` and the memory
         #: it held is considered lost by anyone who offloaded to it.
         self.failed = False
-        #: Count of fault-schedule entries currently targeting this GPU
-        #: (incremented at ``FaultInjector.install``, decremented when
-        #: the fault clears).  While non-zero the DMA transfer fast path
-        #: falls back to the exact Resource path for copies touching
-        #: this GPU — see :attr:`Channel.fault_scheduled
-        #: <repro.hardware.interconnect.Channel.fault_scheduled>`.
-        self.fault_scheduled = 0
 
     def fail(self) -> None:
         """Mark the GPU failed: its HBM contents are gone.

@@ -58,29 +58,6 @@ class Channel:
         While ``True`` the channel's copy engine accepts no new work:
         transfers whose route includes this channel raise
         :class:`~repro.hardware.dma.TransferStalled` at start.
-    busy_until:
-        Analytic timeline cursor for the transfer fast path
-        (:mod:`repro.hardware.dma`): the simulated time at which every
-        fast-path transfer that has claimed this channel will have
-        completed.  Meaningful only while :attr:`fast_inflight` is
-        non-zero; when the channel is idle the cursor is always
-        ``<= env.now`` (a fast transfer's completion *is* the moment
-        the cursor was last advanced to).
-    fast_inflight:
-        Number of fast-path transfers that have claimed this channel
-        and not yet completed.  While non-zero the channel's
-        :attr:`engine` carries :attr:`fast_token` as its single user so
-        generator-path transfers queue behind the analytic pipeline in
-        exact FIFO order.
-    fault_scheduled:
-        Count of fault-schedule entries (:mod:`repro.faults`) currently
-        targeting this channel — incremented eagerly at
-        :meth:`FaultInjector.install
-        <repro.faults.injector.FaultInjector.install>` time, decremented
-        when the fault clears.  While non-zero the transfer fast path
-        refuses to engage on routes through this channel: analytic
-        timelines cannot anticipate a mid-flight health flip, so faulty
-        epochs run on the exact Resource path.
     """
 
     name: str
@@ -90,12 +67,6 @@ class Channel:
     transfer_count: int = 0
     degradation: float = 1.0
     stalled: bool = False
-    busy_until: float = 0.0
-    fast_inflight: int = 0
-    fault_scheduled: int = 0
-    #: Placeholder slot-holder parked in ``engine.users`` while fast-path
-    #: transfers are in flight (see :attr:`fast_inflight`).
-    fast_token: object = field(default_factory=object, repr=False)
 
     def record(self, nbytes: float) -> None:
         self.bytes_moved += nbytes
@@ -203,12 +174,6 @@ class Interconnect:
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        #: Opt-in analytic channel-timeline fast path for DMA transfers
-        #: (see :class:`~repro.hardware.dma.Transfer`).  Off by default:
-        #: the exact Resource-FIFO path remains the reference semantics,
-        #: and the fast path is provably (and test-enforced) identical
-        #: in grant order, completion times and channel ledgers.
-        self.transfer_fastpath = False
         self.channels: dict[str, Channel] = {}
         self._routes: dict[tuple[Hashable, Hashable], list[str]] = {}
         #: Route objects are immutable views over mutable channels, so

@@ -41,13 +41,6 @@ class Server:
         Host DRAM capacity (1 TB on both testbeds).
     name:
         Identifier used in routes and reports.
-    transfer_fastpath:
-        Enable the analytic channel-timeline fast path for DMA copies
-        (see :class:`~repro.hardware.dma.Transfer` and
-        ``docs/performance.md``).  Off by default — the exact
-        Resource-FIFO path stays the reference; the fast path is
-        semantics-identical and falls back automatically around fault
-        schedules.
     """
 
     def __init__(
@@ -60,7 +53,6 @@ class Server:
         pcie_link: LinkSpec = PCIE_GEN4_X16,
         dram_bytes: int = DEFAULT_DRAM_BYTES,
         name: str = "server0",
-        transfer_fastpath: bool = False,
     ) -> None:
         if n_gpus < 1:
             raise ValueError(f"n_gpus must be >= 1, got {n_gpus}")
@@ -77,7 +69,6 @@ class Server:
         self.gpus = [GPU(env, i, gpu_spec, server=self) for i in range(n_gpus)]
         self.dram = HostDRAM(env, dram_bytes, server=self)
         self.interconnect = Interconnect(env)
-        self.interconnect.transfer_fastpath = transfer_fastpath
         self.transfer_stats = TransferStats()
         #: Optional :class:`~repro.telemetry.Telemetry` hub; installed by
         #: ``Telemetry.attach_server``.  When set, every completed DMA

@@ -31,25 +31,20 @@ from repro.sim.events import (
     Interrupt,
     Process,
     SimulationError,
-    SleepUntil,
     Timeout,
 )
 from repro.sim.resources import PriorityResource, Resource, Store
-from repro.sim.schedulers import SCHEDULER_NAMES, CalendarQueue
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Environment",
     "Event",
     "Interrupt",
     "PriorityResource",
     "Process",
     "Resource",
-    "SCHEDULER_NAMES",
     "SimulationError",
-    "SleepUntil",
     "Store",
     "Timeout",
 ]

@@ -10,7 +10,7 @@ saved per event adds up to ~30% at this call rate).  :meth:`step` keeps
 the one-event-at-a-time semantics for direct callers and must stay
 behaviourally identical to one iteration of the inlined loop.
 
-The schedule holds ``(time, seq, event)`` entries where
+The schedule is a binary heap of ``(time, seq, event)`` entries where
 ``seq = priority * _SEQ_STRIDE + eid`` folds the URGENT/NORMAL
 tie-break and the FIFO insertion counter into one integer: URGENT
 events sort before NORMAL events at the same timestamp, and within a
@@ -19,16 +19,6 @@ unreachable by any real event count, and the packed entry is one
 element smaller (and one comparison cheaper) than the previous
 ``(time, priority, eid, event)`` tuple.  :class:`~repro.sim.events.Timeout`
 and ``Event.succeed`` push entries inline with the same layout.
-
-The schedule *backend* is pluggable (``Environment(scheduler=...)``,
-see :mod:`repro.sim.schedulers`): the default ``"heap"`` keeps the
-original binary heap — ``_push``/``_pop`` bind the C
-:func:`heapq.heappush`/:func:`heapq.heappop` directly, so the default
-path executes the exact same instructions as before the backend became
-selectable — while ``"calendar"`` swaps in a bucketed calendar queue
-for high-event-density rigs.  Every push site (here and the inlined
-ones in :mod:`repro.sim.events`) goes through ``env._push(env._queue,
-entry)``; both backends pop in the identical ``(time, seq)`` order.
 
 A process may ``yield`` a bare ``float`` instead of an
 :class:`~repro.sim.events.Timeout` — an anonymous sleep that schedules
@@ -48,10 +38,10 @@ digest in ``tests/test_determinism_golden.py``.
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappop, heappush
 from types import MethodType
 from typing import Any, Callable, Optional
 
-from repro.sim.schedulers import resolve_scheduler
 from repro.sim.events import (
     PROCESSED,
     Event,
@@ -73,13 +63,6 @@ _SEQ_STRIDE = 1 << 52
 
 _INF = float("inf")
 
-#: Feature probe for harnesses that must run on older kernels too (the
-#: benchmark suite A/B-tests against pre-fast-path checkouts, where
-#: ``getattr(core, "SUPPORTS_BARE_DELAY", False)`` is False and workers
-#: fall back to ``env.timeout``).
-SUPPORTS_BARE_DELAY = True
-
-
 class EmptySchedule(Exception):
     """Internal: raised by :meth:`Environment.step` when no events remain."""
 
@@ -95,11 +78,6 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulation clock, in seconds.
-    scheduler:
-        Schedule backend: ``"heap"`` (default — the original binary
-        heap, byte-identical behaviour and performance), ``"calendar"``
-        (bucketed calendar queue for high event density), or a backend
-        instance (see :mod:`repro.sim.schedulers`).
 
     Notes
     -----
@@ -121,9 +99,6 @@ class Environment:
     __slots__ = (
         "_now",
         "_queue",
-        "_push",
-        "_pop",
-        "_scheduler_name",
         "_eid",
         "_events_processed",
         "_active_process",
@@ -133,16 +108,9 @@ class Environment:
         "process",
     )
 
-    def __init__(self, initial_time: float = 0.0, scheduler: Any = "heap") -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        # ``_push(queue, entry)`` / ``_pop(queue)``: for the default
-        # heap backend these are the C heappush/heappop, so the hot
-        # loops below execute exactly what they did when the heap was
-        # hard-wired.  Must be bound before ``_timeout_factory``, which
-        # captures ``_push`` and ``_queue`` once.
-        self._queue, self._push, self._pop, self._scheduler_name = (
-            resolve_scheduler(scheduler)
-        )
+        self._queue: list[tuple[float, int, Event]] = []
         self._eid = 0
         self._events_processed = 0
         self._active_process: Optional[Process] = None
@@ -167,23 +135,17 @@ class Environment:
         return self._active_process
 
     @property
-    def scheduler(self) -> str:
-        """Name of the schedule backend (``"heap"``, ``"calendar"``, …)."""
-        return self._scheduler_name
-
-    @property
     def events_processed(self) -> int:
         """Lifetime count of events this environment has retired.
 
         An explicit counter maintained by the event loop.  (It was
         previously derived as ``_eid - len(self._queue)``, which
-        overcounts cancelled/defused events that were never popped and
-        assumes the schedule is the builtin list — wrong on both counts
-        under a pluggable backend.)  The hot loops in :meth:`run`
-        accumulate it in a local and flush in a ``finally`` block, so
-        the value is only guaranteed current between :meth:`run` /
-        :meth:`step` calls — which is when the benchmark harness
-        (:mod:`repro.benchmarks`) reads it to report kernel events/sec.
+        overcounts cancelled/defused events that were never popped.)
+        The hot loops in :meth:`run` accumulate it in a local and flush
+        in a ``finally`` block, so the value is only guaranteed current
+        between :meth:`run` / :meth:`step` calls — which is when the
+        benchmark harness (:mod:`repro.benchmarks`) reads it to report
+        kernel events/sec.
         """
         return self._events_processed
 
@@ -192,9 +154,7 @@ class Environment:
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         self._eid = eid = self._eid + 1
-        self._push(
-            self._queue, (self._now + delay, priority * _SEQ_STRIDE + eid, event)
-        )
+        heappush(self._queue, (self._now + delay, priority * _SEQ_STRIDE + eid, event))
 
     def add_monitor(self, fn: Callable[[float], None]) -> None:
         """Register an observer invoked after every processed event.
@@ -224,7 +184,7 @@ class Environment:
             If no events remain.
         """
         try:
-            self._now, _, event = self._pop(self._queue)
+            self._now, _, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
         self._events_processed += 1
@@ -283,7 +243,7 @@ class Environment:
         # checks.  Each must stay behaviourally identical to
         # `while True: self.step()` plus the docstring's stop checks.
         queue = self._queue
-        pop = self._pop
+        pop = heappop
         monitors = self._monitors  # mutated in place, never rebound
         processed = PROCESSED
         mtype = MethodType

@@ -21,16 +21,14 @@ keep it fast, locked down by ``tests/test_determinism_golden.py`` and
 * :meth:`Process._resume` keeps the generator trampoline flat, with the
   pending-target wait as the first branch.
 
-The inlined scheduling writes ``env._eid``/``env._queue`` directly via
-``env._push`` (the schedule backend's push, bound once in
-``Environment.__init__`` — the C ``heappush`` for the default heap
-backend, so nothing is lost over calling it directly); the entry layout
-is owned by :mod:`repro.sim.core` (see ``_SEQ_STRIDE`` there) and must
-stay in sync.
+The inlined scheduling writes ``env._eid``/``env._queue`` directly; the
+entry layout is owned by :mod:`repro.sim.core` (see ``_SEQ_STRIDE``
+there) and must stay in sync.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -129,7 +127,7 @@ class Event:
         self._state = TRIGGERED
         env = self.env
         env._eid = eid = env._eid + 1
-        env._push(env._queue, (env._now, _NORMAL_SEQ + eid, self))
+        heappush(env._queue, (env._now, _NORMAL_SEQ + eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -191,42 +189,10 @@ class Timeout(Event):
         self._state = TRIGGERED
         self.delay = delay
         env._eid = eid = env._eid + 1
-        env._push(env._queue, (env._now + delay, _NORMAL_SEQ + eid, self))
+        heappush(env._queue, (env._now + delay, _NORMAL_SEQ + eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
-
-
-class SleepUntil(Event):
-    """An event that triggers at an *absolute* simulated time.
-
-    ``yield SleepUntil(env, at)`` differs from ``yield env.timeout(at -
-    env.now)`` in exactly one way: the wake-up lands at ``at`` itself,
-    not at ``env.now + (at - env.now)``, which can drift by one ulp when
-    ``at`` was computed analytically.  The DMA transfer fast path
-    (:mod:`repro.hardware.dma`) relies on this to wake at precisely the
-    grant time the channel-timeline cursors predicted, so its completion
-    timestamps are bit-identical to the Resource-FIFO path's.
-    """
-
-    __slots__ = ("at",)
-
-    def __init__(self, env: "Environment", at: float, value: Any = None) -> None:
-        if at < env._now:
-            raise ValueError(f"cannot sleep until {at} in the past (now={env._now})")
-        # Flat initialisation, mirroring Timeout: born triggered,
-        # ``_defused`` deliberately unset (``_ok`` is always True).
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._state = TRIGGERED
-        self.at = at
-        env._eid = eid = env._eid + 1
-        env._push(env._queue, (at, _NORMAL_SEQ + eid, self))
-
-    def __repr__(self) -> str:
-        return f"<SleepUntil at={self.at}>"
 
 
 def _timeout_factory(env: "Environment") -> Callable[..., Timeout]:
@@ -241,7 +207,7 @@ def _timeout_factory(env: "Environment") -> Callable[..., Timeout]:
     queue = env._queue  # bound once; Environment never rebinds it
     tnew = Timeout.__new__
     cls = Timeout
-    push = env._push  # backend push; heappush for the default heap
+    push = heappush
     nseq = _NORMAL_SEQ
     triggered = TRIGGERED
 
@@ -399,7 +365,7 @@ class Process(Event):
                     event._state = TRIGGERED
                     continue
                 env._eid = eid = env._eid + 1
-                env._push(
+                heappush(
                     env._queue, (env._now + target, _NORMAL_SEQ + eid, self._resume_cb)
                 )
                 self._target = _BARE_SLEEP

@@ -122,10 +122,11 @@ def test_observe_command_no_faults(capsys):
     assert "dma-stall" not in capsys.readouterr().out
 
 
-def test_ambient_trace_flag_on_figure_command(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["default-jobs", "jobs-2"])
+def test_ambient_trace_flag_on_figure_command(tmp_path, capsys, jobs):
     """Every figure command accepts --trace and writes a Chrome trace."""
     trace = tmp_path / "fig07.json"
-    assert main(["fig07", "--duration", "10", "--trace", str(trace)]) == 0
+    assert main(["fig07", "--duration", "10", "--trace", str(trace)] + jobs) == 0
     assert "trace written to" in capsys.readouterr().out
 
     import json

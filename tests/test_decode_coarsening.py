@@ -280,21 +280,18 @@ def test_invalid_decode_coarsen_rejected():
         BatchEngine(server.gpus[0], server, SD_15, decode_coarsen=-1)
 
 
-def test_harness_threads_decode_coarsen_and_scheduler():
+def test_harness_threads_decode_coarsen():
     rig = build_consumer_rig(
         "vllm",
         MISTRAL_7B,
         producer_model=SD_15,
         use_aqua=True,
-        scheduler="calendar",
         decode_coarsen=4,
     )
-    assert rig.env.scheduler == "calendar"
     assert rig.consumer_engine.decode_coarsen == 4
     assert rig.producer_engine.decode_coarsen == 4
 
 
 def test_harness_defaults_stay_exact():
     rig = build_consumer_rig("vllm", MISTRAL_7B, use_aqua=False)
-    assert rig.env.scheduler == "heap"
     assert rig.consumer_engine.decode_coarsen == 1

@@ -44,19 +44,14 @@ DURATION = 30.0
 
 def _run_scenario(
     telemetry: bool,
-    scheduler: str = "heap",
     decode_coarsen: int = 1,
     observability: bool = False,
-    transfer_fastpath: bool = False,
 ):
     """One seeded audited run; returns (digest, final-metrics dict, rig).
 
     ``observability=True`` additionally attaches the full time-resolved
     layer (metric scraper + SLO tracker + flight recorder, PR 8) so the
     digest tests can prove it is observation-only.
-    ``transfer_fastpath=True`` routes eligible DMA copies through the
-    analytic channel-timeline path (PR 10), which claims bit-identical
-    semantics — the digest tests below hold it to that.
     """
     rig = build_consumer_rig(
         "flexgen",
@@ -65,11 +60,9 @@ def _run_scenario(
         use_aqua=True,
         audit=True,
         telemetry=telemetry,
-        scheduler=scheduler,
         decode_coarsen=decode_coarsen,
         scrape_interval=0.5 if observability else None,
         slo_policy=default_slo_policy() if observability else None,
-        transfer_fastpath=transfer_fastpath,
     )
     rig.start()
     submit_all(rig.env, rig.consumer_engine, long_prompt_requests(start=2.0))
@@ -113,27 +106,6 @@ def test_digest_with_telemetry_matches_golden():
     assert digest == GOLDEN_DIGEST
 
 
-def test_digest_identical_under_calendar_scheduler():
-    """The calendar-queue backend (PR 7) is a pure schedule swap: the
-    audited event stream — and therefore the digest — must be bit-equal
-    to the heap backend's, which is itself pinned to the golden.  This
-    is the end-to-end companion of the per-entry ordering properties in
-    ``tests/test_sim_ordering.py``."""
-    digest, final, _ = _run_scenario(telemetry=False, scheduler="calendar")
-    assert final["tokens"] > 0 and final["transfers_observed"] > 0
-    assert digest == GOLDEN_DIGEST, (
-        f"calendar scheduler diverged from the heap backend's event stream\n"
-        f"  got      {digest}\n  expected {GOLDEN_DIGEST}\n  final metrics: {final}"
-    )
-
-
-def test_both_schedulers_agree_on_final_metrics():
-    """Same digest is necessary; same observable outcome closes the loop."""
-    _, final_heap, _ = _run_scenario(telemetry=False, scheduler="heap")
-    _, final_cal, _ = _run_scenario(telemetry=False, scheduler="calendar")
-    assert final_heap == final_cal
-
-
 def test_identical_runs_bit_identical():
     """Two same-seed runs agree on digest *and* every final metric."""
     digest_a, final_a, _ = _run_scenario(telemetry=False)
@@ -149,21 +121,18 @@ def test_telemetry_does_not_change_final_metrics():
     assert final_off == final_on
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 @pytest.mark.parametrize("decode_coarsen", [1, 4])
-def test_observability_layer_is_observation_only(scheduler, decode_coarsen):
+def test_observability_layer_is_observation_only(decode_coarsen):
     """The full time-resolved layer (PR 8) — 0.5 s metric scraper, SLO
     tracker with the default two-tenant policy, flight recorder — leaves
-    the audited event stream bit-identical, under both schedule backends
-    and with decode coarsening on.  The scraper runs on the simulation
+    the audited event stream bit-identical, also with decode coarsening
+    on.  The scraper runs on the simulation
     clock but only *reads* state at each tick, so the only thing it may
     change is event ids — which the audit digest deliberately excludes.
     """
-    digest_off, final_off, _ = _run_scenario(
-        False, scheduler=scheduler, decode_coarsen=decode_coarsen
-    )
+    digest_off, final_off, _ = _run_scenario(False, decode_coarsen=decode_coarsen)
     digest_on, final_on, rig = _run_scenario(
-        True, scheduler=scheduler, decode_coarsen=decode_coarsen, observability=True
+        True, decode_coarsen=decode_coarsen, observability=True
     )
     # Non-vacuous: the layer really was attached and really scraped.
     assert rig.telemetry is not None and rig.telemetry.scraper is not None
@@ -171,49 +140,13 @@ def test_observability_layer_is_observation_only(scheduler, decode_coarsen):
     assert rig.telemetry.slo is not None and rig.telemetry.recorder is not None
     assert digest_on == digest_off, (
         f"observability layer perturbed the event stream "
-        f"(scheduler={scheduler}, decode_coarsen={decode_coarsen})\n"
+        f"(decode_coarsen={decode_coarsen})\n"
         f"  on  {digest_on}\n  off {digest_off}"
     )
     assert final_on == final_off
     if decode_coarsen == 1:
         # Coarsening intentionally time-warps decode, so only the exact
         # per-token configuration is pinned to the committed golden.
-        assert digest_off == GOLDEN_DIGEST
-
-
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-@pytest.mark.parametrize("decode_coarsen", [1, 4])
-def test_transfer_fastpath_digest_identical(scheduler, decode_coarsen):
-    """The analytic transfer fast path (PR 10) is semantics-identical:
-    the audited event stream — every transfer's route, size, duration,
-    completion instant and channel list — is byte-identical with the
-    toggle on or off, under both schedule backends and with decode
-    coarsening on.  This is the acceptance gate for the fast path: the
-    conservation digest folds in per-transfer ``env.now`` and per-hop
-    channel names, so a single reordered grant or a one-ulp completion
-    drift fails it."""
-    digest_off, final_off, _ = _run_scenario(
-        False, scheduler=scheduler, decode_coarsen=decode_coarsen
-    )
-    digest_on, final_on, rig = _run_scenario(
-        False,
-        scheduler=scheduler,
-        decode_coarsen=decode_coarsen,
-        transfer_fastpath=True,
-    )
-    # Non-vacuous: the fast path really modelled transfers (only
-    # ``_run_fast`` ever advances a channel's ``busy_until`` cursor).
-    assert rig.server.interconnect.transfer_fastpath
-    assert any(
-        ch.busy_until > 0 for ch in rig.server.interconnect.channels.values()
-    )
-    assert digest_on == digest_off, (
-        f"transfer fast path diverged from the Resource path "
-        f"(scheduler={scheduler}, decode_coarsen={decode_coarsen})\n"
-        f"  on  {digest_on}\n  off {digest_off}\n  final metrics: {final_on}"
-    )
-    assert final_on == final_off
-    if decode_coarsen == 1:
         assert digest_off == GOLDEN_DIGEST
 
 
@@ -297,7 +230,7 @@ def test_sweep_parallel_matches_serial():
 # ``repro.routing`` — and even *running* a frontier cell in-process,
 # which exercises its global request-id and caching machinery — must
 # leave the single-server figure rigs byte-identical to the committed
-# golden, across both schedule backends and with decode coarsening on.
+# golden, also with decode coarsening on.
 # Second: the frontier sweep itself is a pooled fan-out, so serial,
 # ``--jobs 2`` and warm-cache replays must agree byte for byte.
 # ---------------------------------------------------------------------------
@@ -313,20 +246,16 @@ def test_routing_layer_is_inert_for_single_server_rigs():
     )
     assert cell["completed"] > 0
 
-    for scheduler in ("heap", "calendar"):
-        for decode_coarsen in (1, 4):
-            digest, final, _ = _run_scenario(
-                telemetry=False,
-                scheduler=scheduler,
-                decode_coarsen=decode_coarsen,
+    for decode_coarsen in (1, 4):
+        digest, final, _ = _run_scenario(
+            telemetry=False, decode_coarsen=decode_coarsen
+        )
+        assert final["tokens"] > 0
+        if decode_coarsen == 1:
+            assert digest == GOLDEN_DIGEST, (
+                f"routing layer perturbed the single-server event stream\n"
+                f"  got      {digest}\n  expected {GOLDEN_DIGEST}"
             )
-            assert final["tokens"] > 0
-            if decode_coarsen == 1:
-                assert digest == GOLDEN_DIGEST, (
-                    f"routing layer perturbed the single-server event "
-                    f"stream (scheduler={scheduler})\n"
-                    f"  got      {digest}\n  expected {GOLDEN_DIGEST}"
-                )
 
 
 #: Small frontier grid for the fan-out tests: two policies, two rates,

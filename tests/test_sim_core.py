@@ -13,11 +13,6 @@ from repro.sim import (
 )
 from repro.sim.core import EmptySchedule
 
-#: Both schedule backends must satisfy every kernel contract below that
-#: is parametrized over this list.
-SCHEDULERS = ["heap", "calendar"]
-
-
 def test_clock_starts_at_zero():
     env = Environment()
     assert env.now == 0.0
@@ -444,13 +439,12 @@ def _three_sleepers(env):
         env.process(proc(env, d))
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_events_processed_matches_manual_step_loop(scheduler):
-    auto = Environment(scheduler=scheduler)
+def test_events_processed_matches_manual_step_loop():
+    auto = Environment()
     _three_sleepers(auto)
     auto.run()
 
-    manual = Environment(scheduler=scheduler)
+    manual = Environment()
     _three_sleepers(manual)
     steps = 0
     while True:
@@ -576,9 +570,8 @@ def test_events_processed_step_and_run_agree():
 # exactly at ``until`` are processed identically to a manual
 # peek()/step() loop.
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_run_until_lands_on_until_when_queue_drains_early(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_run_until_lands_on_until_when_queue_drains_early():
+    env = Environment()
 
     def proc(env):
         yield env.timeout(3)
@@ -589,9 +582,8 @@ def test_run_until_lands_on_until_when_queue_drains_early(scheduler):
     assert len(env._queue) == 0
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_run_until_lands_on_until_when_next_event_is_beyond(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_run_until_lands_on_until_when_next_event_is_beyond():
+    env = Environment()
     log = []
 
     def proc(env, d):
@@ -608,11 +600,10 @@ def test_run_until_lands_on_until_when_next_event_is_beyond(scheduler):
     assert env.now == 20.0
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_run_until_processes_events_exactly_at_until(scheduler):
+def test_run_until_processes_events_exactly_at_until():
     """Events at t == until fire inside run(until), including zero-delay
     chains they spawn at that same timestamp."""
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     log = []
 
     def proc(env):
@@ -627,14 +618,13 @@ def test_run_until_processes_events_exactly_at_until(scheduler):
     assert env.now == 5.0
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_run_until_matches_manual_step_loop(scheduler):
+def test_run_until_matches_manual_step_loop():
     """Differential: run(until=T) retires exactly the events a manual
     ``while peek() <= T: step()`` loop retires, in the same order."""
     STOP = 5.0
 
     def build():
-        env = Environment(scheduler=scheduler)
+        env = Environment()
         log = []
 
         def proc(env, i, d):

@@ -18,13 +18,11 @@ the same laws end to end; these properties localise a violation to the
 kernel when that digest breaks.
 """
 
-from heapq import heappop, heappush
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CalendarQueue, Environment, Interrupt
-from repro.sim.core import NORMAL, URGENT, _SEQ_STRIDE
+from repro.sim import Environment, Interrupt
+from repro.sim.core import NORMAL, URGENT
 
 #: Few distinct delays on purpose: maximal timestamp collisions is the
 #: hard case for tie-breaking.
@@ -81,10 +79,10 @@ PROGRAMS = st.lists(
 )
 
 
-def _run_program(program, bare_delays=False, scheduler="heap"):
+def _run_program(program, bare_delays=False):
     """Run an interleaved process/timeout/interrupt program; return a
     replayable transcript (repr() so float identity is bit-exact)."""
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     log = []
 
     def child(i):
@@ -125,111 +123,4 @@ def test_bare_delay_yield_matches_timeout(program):
     same wake order, same timestamps, same event count."""
     assert _run_program(program, bare_delays=False) == _run_program(
         program, bare_delays=True
-    )
-
-
-# ---------------------------------------------------------------------------
-# Calendar-queue backend (PR 7): pops must be *identical* to the heap's.
-#
-# The adversarial cases are maximal timestamp collisions (many entries
-# in one bucket), same-time URGENT/NORMAL mixes (seq tie-breaking
-# happens inside a single bucket sort), and pushes racing the bucket
-# currently being drained (zero-delay wakeups).
-# ---------------------------------------------------------------------------
-
-#: Operations against both backends: push a (delay, urgent) entry at the
-#: current drain time, or pop one entry.  Delays cluster far below,
-#: exactly at, and above the calendar's 1 ms bucket width so entries
-#: collide inside buckets and straddle bucket boundaries.
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("push"),
-            st.sampled_from([0.0, 0.0003, 0.0005, 0.001, 0.0015, 0.002, 0.25]),
-            st.booleans(),
-        ),
-        st.just(("pop",)),
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-
-@given(_OPS)
-@settings(max_examples=100, deadline=None)
-def test_calendar_pops_identical_to_heap(ops):
-    """Interleaved pushes and pops on both backends yield the exact same
-    entry sequence.  Pushes are anchored at the last popped time (the
-    kernel's monotone-clock invariant), which is precisely the regime
-    where a push can land in the bucket being drained."""
-    heap: list = []
-    cal = CalendarQueue()
-    now = 0.0
-    seq = 0
-    popped_heap, popped_cal = [], []
-    for op in ops:
-        if op[0] == "push":
-            _, delay, urgent = op
-            seq += 1
-            prio = URGENT if urgent else NORMAL
-            entry = (now + delay, prio * _SEQ_STRIDE + seq, seq)
-            heappush(heap, entry)
-            cal.push(entry)
-        else:
-            if not heap:
-                continue
-            a, b = heappop(heap), cal.pop()
-            popped_heap.append(a)
-            popped_cal.append(b)
-            now = a[0]
-    # Drain whatever remains.
-    while heap:
-        popped_heap.append(heappop(heap))
-        popped_cal.append(cal.pop())
-    assert popped_cal == popped_heap
-    assert len(cal) == 0
-
-
-@given(_OPS)
-@settings(max_examples=50, deadline=None)
-def test_calendar_head_peek_matches_heap(ops):
-    """``queue[0]`` (the run-until stop check) agrees between backends at
-    every step."""
-    heap: list = []
-    cal = CalendarQueue()
-    now = 0.0
-    seq = 0
-    for op in ops:
-        if op[0] == "push":
-            _, delay, urgent = op
-            seq += 1
-            prio = URGENT if urgent else NORMAL
-            entry = (now + delay, prio * _SEQ_STRIDE + seq, seq)
-            heappush(heap, entry)
-            cal.push(entry)
-        elif heap:
-            now = heappop(heap)[0]
-            cal.pop()
-        if heap:
-            assert cal[0] == heap[0]
-        assert bool(cal) == bool(heap)
-
-
-@given(PROGRAMS)
-@settings(max_examples=50, deadline=None)
-def test_calendar_scheduler_transcript_identical_to_heap(program):
-    """A full kernel program (processes, timeouts, interrupts) replays
-    bit-identically under ``Environment(scheduler="calendar")``: same
-    transcript, same final clock, same retirement count."""
-    assert _run_program(program, scheduler="heap") == _run_program(
-        program, scheduler="calendar"
-    )
-
-
-@given(PROGRAMS)
-@settings(max_examples=25, deadline=None)
-def test_calendar_bare_delays_transcript_identical_to_heap(program):
-    """The bare-delay fast path composes with the calendar backend."""
-    assert _run_program(program, bare_delays=True, scheduler="heap") == _run_program(
-        program, bare_delays=True, scheduler="calendar"
     )
