@@ -85,24 +85,35 @@ class BlockAllocator:
                 f"need {count} blocks, only {len(self._free)} free "
                 f"of {self.n_blocks}"
             )
-        taken = [self._free.pop() for _ in range(count)]
+        # LIFO: the last free block is handed out first.
+        split = len(self._free) - count
+        taken = self._free[split:]
+        del self._free[split:]
+        taken.reverse()
         self._allocated.update(taken)
         return taken
 
     def free(self, blocks: list[int]) -> None:
         """Return blocks to the free list.
 
+        The whole list is validated before anything changes, so a
+        rejected call leaves the allocator exactly as it was.
+
         Raises
         ------
         AllocationError
-            If any block is not currently allocated (double free).
+            If any block is not currently allocated, or appears twice
+            in ``blocks`` (double free).
         """
-        for block in blocks:
-            if block not in self._allocated:
-                raise AllocationError(f"double free of block {block}")
-        for block in blocks:
-            self._allocated.remove(block)
-            self._free.append(block)
+        released = set(blocks)
+        if len(released) != len(blocks) or not released <= self._allocated:
+            seen: set[int] = set()
+            for block in blocks:
+                if block in seen or block not in self._allocated:
+                    raise AllocationError(f"double free of block {block}")
+                seen.add(block)
+        self._allocated.difference_update(released)
+        self._free.extend(blocks)
 
     def resize(self, n_blocks: int) -> None:
         """Grow or shrink the region (AQUA donates/reclaims KV memory).

@@ -21,9 +21,10 @@ class Residency(str, Enum):
     SWAPPED = "swapped"
 
 
-@dataclass
+@dataclass(eq=False)
 class SequenceState:
-    """KV bookkeeping for one sequence."""
+    """KV bookkeeping for one sequence (identity equality, like
+    :class:`~repro.serving.request.Request`)."""
 
     seq_id: int
     tokens: int
@@ -98,18 +99,38 @@ class PagedKVCache:
         return state
 
     def can_append(self, seq_id: int) -> bool:
-        """Whether one more token fits (a new block may be needed)."""
+        """Whether one more token fits (a new block may be needed).
+
+        For callers that only ask; to grow the sequence, call
+        :meth:`append_token` directly, which makes the same check.
+        """
         seq = self._resident(seq_id)
         if seq.tokens % self.block_tokens != 0:
             return True
         return self.allocator.can_allocate(1)
 
-    def append_token(self, seq_id: int) -> None:
-        """Grow a resident sequence by one generated token."""
-        seq = self._resident(seq_id)
+    def append_token(self, seq_id: int) -> bool:
+        """Grow a resident sequence by one generated token.
+
+        Returns ``False``, changing nothing, when the token needs a new
+        block and none is free; the result always equals what
+        :meth:`can_append` would have predicted.  This is the serving
+        engines' one KV call per token.
+
+        Raises
+        ------
+        AllocationError
+            If the sequence is swapped out.
+        """
+        seq = self.sequences[seq_id]
+        if seq.residency is not Residency.RESIDENT:
+            raise AllocationError(f"sequence {seq_id} is swapped out")
         if seq.tokens % self.block_tokens == 0:
+            if not self.allocator.can_allocate(1):
+                return False
             seq.blocks.extend(self.allocator.allocate(1))
         seq.tokens += 1
+        return True
 
     def release(self, seq_id: int) -> None:
         """Finish a sequence and free its blocks (if resident)."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.aqua.tensor import TensorLostError
+from repro.memory.allocator import AllocationError
 from repro.serving.engine import LLMEngineBase
 from repro.serving.lora_manager import LoRACache
 from repro.serving.request import Request
@@ -159,7 +160,8 @@ class CFSEngine(LLMEngineBase):
         out = [r for r in self.running if r.req_id not in chosen]
         for request in out:
             yield from self._swap_out(request)
-        into = [r for r in active if r in self.swapped]
+        swapped = set(self.swapped)
+        into = [r for r in active if r in swapped]
         for request in into:
             yield from self._swap_in(request)
         self.context_switch_time += self.env.now - started
@@ -178,7 +180,8 @@ class CFSEngine(LLMEngineBase):
         KV is restored from offloaded memory and only the new text is
         prefilled.
         """
-        fresh = [r for r in active if r in self.waiting]
+        waiting = set(self.waiting)
+        fresh = [r for r in active if r in waiting]
         if not fresh:
             return
         self.attr_mark(fresh, "queueing")
@@ -234,8 +237,9 @@ class CFSEngine(LLMEngineBase):
                 # fuse up to decode_coarsen of the slice's per-token
                 # steps into one aggregate compute event, clamped so no
                 # sequence finishes mid-window.  KV capacity for the
-                # whole slice was budgeted by _select_active, so the
-                # replayed appends cannot overflow.
+                # whole slice was budgeted by _select_active, so a
+                # refused append is a budgeting bug, never a dropped
+                # token.
                 k = 1
                 if self.decode_coarsen > 1:
                     k = min(
@@ -256,7 +260,11 @@ class CFSEngine(LLMEngineBase):
                 for _ in range(k):
                     for request in batch:
                         seen.setdefault(request.req_id, request)
-                        self.kv.append_token(request.req_id)
+                        if not self.kv.append_token(request.req_id):
+                            raise AllocationError(
+                                f"{self.name}: no KV block for request "
+                                f"{request.req_id} inside its budgeted slice"
+                            )
                         self._finish_token(request)
                         if request.done:
                             yield from self._maybe_cache_context(request)

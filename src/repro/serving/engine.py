@@ -64,7 +64,10 @@ class LLMEngineBase:
         metrics (tokens, completions, byte conservation) are unchanged;
         per-token latency time series are coarsened.  Window length is
         always clamped so no request would finish mid-window and no
-        producer/inform boundary is skipped.
+        producer/inform boundary is skipped.  The ``k`` replays of one
+        window share one identity *skip set* of the requests that left
+        the batch (preempted, aborted or finished): a request that
+        leaves in one replay is skipped, in O(1), by every later one.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hub.  When set the
         engine reports request/token/requeue counters, latency
@@ -171,8 +174,9 @@ class LLMEngineBase:
 
     def _finish_token(self, request: Request) -> None:
         """Record one generated token, completing the request if done."""
-        request.record_token(self.env.now)
-        self.metrics.record_token(self.env.now)
+        now = self.env.now
+        request.record_token(now)
+        self.metrics.record_token(now)
         if self.telemetry is not None:
             self.telemetry.token_generated(self.name, request)
         if request.done:

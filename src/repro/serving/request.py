@@ -11,9 +11,14 @@ from repro.models.lora import LoRAAdapter
 _REQUEST_IDS = count()
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
     """One inference query against a hosted model.
+
+    Requests compare and hash by identity: two distinct requests with
+    equal fields are different queries, and the engines' per-token
+    membership tests (``in``, ``remove``, sets) cost one pointer
+    compare per member.
 
     Attributes
     ----------

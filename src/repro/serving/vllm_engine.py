@@ -143,7 +143,7 @@ class VLLMEngine(LLMEngineBase):
             if self.telemetry is not None:
                 self.telemetry.decode_batch(self.name, len(batch))
                 self.attr_mark(batch, "decode_hbm")
-            yield from self._decode_bookkeeping(batch)
+            yield from self._decode_bookkeeping(batch, set())
             return
 
         n = len(batch)
@@ -161,32 +161,50 @@ class VLLMEngine(LLMEngineBase):
             for _ in range(k):
                 self.telemetry.decode_batch(self.name, n)
             self.attr_mark(batch, "decode_hbm")
+        # One skip set spans all k replays: a request that leaves the
+        # batch in one replay (preempted, aborted, finished) must be
+        # skipped by every later replay of the window.
+        left: set[Request] = set()
         for _ in range(k):
-            yield from self._decode_bookkeeping(batch)
+            yield from self._decode_bookkeeping(batch, left)
         # The window stood in for k scheduler iterations; _serve's own
         # increment accounts for the last one.
         self.iteration += k - 1
 
-    def _decode_bookkeeping(self, batch: list[Request]) -> Generator:
-        """Account one generated token for every sequence in ``batch``."""
+    def _decode_bookkeeping(
+        self, batch: list[Request], left: set[Request]
+    ) -> Generator:
+        """Account one generated token for every sequence in ``batch``.
+
+        ``left`` is the identity set of requests that have left the
+        batch since it was frozen; they are skipped, and every request
+        that leaves here (preemption victim, abort, completion) is
+        added to it.  ``batch`` is a snapshot of ``running``, which
+        only shrinks until the step or window ends, so a request of
+        ``batch`` is running exactly when it is not in ``left``.
+        """
+        kv = self.kv
         for request in batch:
-            if request not in self.running:
-                continue  # preempted by an earlier sequence this step
-            if not self.kv.can_append(request.req_id):
-                yield from self._preempt_for(request)
-            if not self.kv.can_append(request.req_id):
-                # Still no room (nothing left to preempt): end the
-                # sequence here, as a context-length abort would.
-                request.max_new_tokens = request.generated_tokens + 1
-                self._finish_token(request)
-                self.running.remove(request)
-                self.kv.release(request.req_id)
-                continue
-            self.kv.append_token(request.req_id)
+            if request in left:
+                continue  # left the batch earlier this step or window
+            if not kv.append_token(request.req_id):
+                victim = yield from self._preempt_for(request)
+                if victim is not None:
+                    left.add(victim)
+                if victim is None or not kv.append_token(request.req_id):
+                    # Still no room (nothing left to preempt): end the
+                    # sequence here, as a context-length abort would.
+                    request.max_new_tokens = request.generated_tokens + 1
+                    self._finish_token(request)
+                    self.running.remove(request)
+                    kv.release(request.req_id)
+                    left.add(request)
+                    continue
             self._finish_token(request)
             if request.done:
                 self.running.remove(request)
-                self.kv.release(request.req_id)
+                kv.release(request.req_id)
+                left.add(request)
 
     def _preempt_for(self, needy: Request) -> Generator:
         """Free KV space by preempting the youngest sequence.
@@ -194,10 +212,12 @@ class VLLMEngine(LLMEngineBase):
         ``recompute`` releases the victim's blocks and re-prefills its
         whole context later; ``swap`` pages the victim's KV to host
         DRAM (paying the PCIe write now and the read at swap-in).
+        Returns the victim, or ``None`` when there is nothing to
+        preempt.
         """
         victims = [r for r in self.running if r is not needy]
         if not victims:
-            return
+            return None
         victim = max(victims, key=lambda r: r.arrival_time)
         self.running.remove(victim)
         self.preemptions += 1
@@ -211,6 +231,7 @@ class VLLMEngine(LLMEngineBase):
         else:
             self.kv.release(victim.req_id)
             self.waiting.appendleft(victim)
+        return victim
 
     def _abort_stuck_swapped(self) -> None:
         """End a swapped sequence that can no longer fit the KV cache
@@ -254,7 +275,7 @@ class VLLMEngine(LLMEngineBase):
         self.attr_mark([request], "prefill_compute")
         if batch:
             self.attr_mark(batch, "decode_hbm")
-            yield from self._decode_bookkeeping(batch)
+            yield from self._decode_bookkeeping(batch, set())
         self.prefilling[0][1] -= chunk
         if self.prefilling[0][1] <= 0:
             self.prefilling.pop(0)

@@ -120,6 +120,11 @@ def test_vllm_preemption_survives_coarsening():
     env.run(until=1200)
     assert engine.preemptions > 0
     assert all(r.done for r in requests)
+    # Victims left the batch mid-window; later replays skipped them, so
+    # every request ends with exactly its token budget and no block leaks.
+    assert all(r.generated_tokens == r.max_new_tokens for r in requests)
+    assert len(engine.metrics.completed) == len(requests)
+    assert engine.allocator.used_blocks == 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Hypothesis drives random admit/append/swap/release sequences and checks
 the block-accounting invariants that the serving engines rely on.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.memory import BlockAllocator, PagedKVCache
+from repro.memory import AllocationError, BlockAllocator, PagedKVCache
 from repro.models import MISTRAL_7B
 
 N_BLOCKS = 64
@@ -36,15 +37,37 @@ class KVCacheMachine(RuleBasedStateMachine):
             self.cache.admit(seq_id, tokens)
             self.model_tokens[seq_id] = tokens
 
-    @rule(data=st.data())
-    def append(self, data):
+    @rule(data=st.data(), count=st.integers(min_value=1, max_value=64))
+    def append(self, data, count):
+        """Append up to ``count`` tokens (runs of them reach a full
+        cache, where appends get refused)."""
         resident = [s for s in self.model_tokens if s not in self.swapped]
         if not resident:
             return
         seq_id = data.draw(st.sampled_from(sorted(resident)))
-        if self.cache.can_append(seq_id):
-            self.cache.append_token(seq_id)
+        seq = self.cache.sequences[seq_id]
+        for _ in range(count):
+            predicted = self.cache.can_append(seq_id)
+            tokens, blocks = seq.tokens, list(seq.blocks)
+            free = self.cache.allocator.free_blocks
+            appended = self.cache.append_token(seq_id)
+            # The one-call append agrees with the ask-only predicate,
+            # and a refusal is a no-op.
+            assert appended == predicted
+            if not appended:
+                assert seq.tokens == tokens
+                assert seq.blocks == blocks
+                assert self.cache.allocator.free_blocks == free
+                return
             self.model_tokens[seq_id] += 1
+
+    @rule(data=st.data())
+    def append_swapped_rejected(self, data):
+        if not self.swapped:
+            return
+        seq_id = data.draw(st.sampled_from(sorted(self.swapped)))
+        with pytest.raises(AllocationError):
+            self.cache.append_token(seq_id)
 
     @rule(data=st.data())
     def swap_out(self, data):

@@ -101,6 +101,39 @@ def test_allocator_double_free_rejected():
         alloc.free(blocks)
 
 
+def test_allocator_duplicate_block_in_one_free_rejected_without_mutation():
+    """A block listed twice in one call is a double free: it raises the
+    documented AllocationError and leaves the allocator untouched."""
+    alloc = BlockAllocator(n_blocks=4, block_bytes=100)
+    b0, b1 = alloc.allocate(2)
+    with pytest.raises(AllocationError, match=f"double free of block {b0}"):
+        alloc.free([b1, b0, b0])
+    assert alloc.used_blocks == 2
+    assert alloc.free_blocks == 2
+    alloc.free([b0, b1])
+    assert alloc.free_blocks == 4 and alloc.used_blocks == 0
+
+
+def test_allocator_partial_double_free_rejected_without_mutation():
+    alloc = BlockAllocator(n_blocks=4, block_bytes=100)
+    held = alloc.allocate(2)
+    alloc.free(held[:1])
+    with pytest.raises(AllocationError):
+        alloc.free(held)  # held[0] is already free, held[1] is not
+    assert alloc.used_blocks == 1
+    assert alloc.free_blocks == 3
+
+
+def test_allocator_block_order_is_lifo():
+    """Bulk allocate/free hands out the same ids as one-at-a-time pops."""
+    alloc = BlockAllocator(n_blocks=6, block_bytes=100)
+    assert alloc.allocate(3) == [0, 1, 2]
+    assert alloc.allocate(0) == []
+    alloc.free([1, 0])
+    assert alloc.allocate(2) == [0, 1]
+    assert alloc.allocate(1) == [3]
+
+
 def test_allocator_reserves_pool():
     pool = MemoryPool(capacity=1000)
     alloc = BlockAllocator(n_blocks=5, block_bytes=100, pool=pool)
@@ -211,6 +244,17 @@ def test_cache_append_allocates_at_block_boundary():
     assert len(cache.sequences[1].blocks) == 2
     cache.append_token(1)  # 18th token does not
     assert len(cache.sequences[1].blocks) == 2
+
+
+def test_cache_append_refused_without_free_block_changes_nothing():
+    cache = make_cache(n_blocks=1)
+    cache.admit(1, tokens=15)
+    assert cache.append_token(1) is True  # 16th token fills the block
+    assert not cache.can_append(1)
+    assert cache.append_token(1) is False  # 17th needs a block: none free
+    seq = cache.sequences[1]
+    assert seq.tokens == 16 and len(seq.blocks) == 1
+    assert cache.allocator.free_blocks == 0
 
 
 def test_cache_can_admit_respects_capacity():
