@@ -178,9 +178,7 @@ def compare_bench(
     Returns ``(regressions, report_lines)``: a regression is a scenario
     whose primary metric fell more than ``tolerance`` (fractional) below
     the baseline document's value.  Scenarios present in only one
-    document are reported but never gate.  The coarsened companion
-    metrics (``token_steps_per_s`` etc.) are informational — only the
-    raw primary metric gates.
+    document are reported but never gate.
     """
     if not 0 <= tolerance < 1:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")

@@ -51,15 +51,8 @@ def scenario(fn: Callable[[bool], dict]) -> Callable[[bool], dict]:
 # ---------------------------------------------------------------------------
 # Kernel microbenchmark
 # ---------------------------------------------------------------------------
-def _kernel_round(n_processes: int, hops: int, coarsen: int = 1) -> float:
-    """One timed run of the process/sleep microbenchmark; returns wall s.
-
-    ``coarsen > 1`` is the microbenchmark analogue of time-warp decode
-    coarsening: each worker still models ``hops`` per-token steps of
-    simulated time, but fuses every ``coarsen`` consecutive delays into
-    one aggregate sleep — same simulated horizon, ~``coarsen``x fewer
-    kernel events.
-    """
+def _kernel_round(n_processes: int, hops: int) -> float:
+    """One timed run of the process/sleep microbenchmark; returns wall s."""
     env = Environment()
 
     # Precompute each worker's delay sequence (7 distinct values keeps
@@ -68,14 +61,6 @@ def _kernel_round(n_processes: int, hops: int, coarsen: int = 1) -> float:
         tuple(0.001 * ((i + step) % 7 + 1) for step in range(hops))
         for i in range(n_processes)
     ]
-    if coarsen > 1:
-        all_delays = [
-            tuple(
-                sum(delays[j : j + coarsen])
-                for j in range(0, len(delays), coarsen)
-            )
-            for delays in all_delays
-        ]
 
     def worker(delays):
         for d in delays:
@@ -98,11 +83,6 @@ def kernel_event_count(n_processes: int, hops: int) -> int:
     return n_processes * (hops + 2)
 
 
-#: Aggregation window for the kernel scenario's coarsened companion run
-#: (the time-warp analogue: same modeled token-steps, ~8x fewer events).
-KERNEL_COARSEN = 8
-
-
 @scenario
 def kernel(quick: bool = False, jobs: int = 1) -> dict:
     n_processes, hops = (100, 60) if quick else (200, 200)
@@ -118,38 +98,17 @@ def kernel(quick: bool = False, jobs: int = 1) -> dict:
     # oversubscribed.
     from repro.experiments.pool import RunSpec, run_specs
 
-    def rounds(coarsen: int) -> list[float]:
-        specs = [
-            RunSpec(
-                task=f"{__name__}:_kernel_round",
-                kwargs={
-                    "n_processes": n_processes,
-                    "hops": hops,
-                    "coarsen": coarsen,
-                },
-                label=f"kernel round {i} (coarsen={coarsen})",
-            )
-            for i in range(repeats)
-        ]
-        return [r.value for r in run_specs(specs, jobs=jobs)]
-
-    # Exact pass: one event per modeled step — the raw events/s number,
-    # like-for-like with every earlier BENCH artifact.
-    walls = rounds(coarsen=1)
+    specs = [
+        RunSpec(
+            task=f"{__name__}:_kernel_round",
+            kwargs={"n_processes": n_processes, "hops": hops},
+            label=f"kernel round {i}",
+        )
+        for i in range(repeats)
+    ]
+    walls = [r.value for r in run_specs(specs, jobs=jobs)]
     events = kernel_event_count(n_processes, hops)
     best = min(walls)
-
-    # Coarsened companion: identical modeled work (``token_steps``
-    # per-token steps of simulated time), aggregated KERNEL_COARSEN
-    # steps per event.  ``token_steps_per_s`` is the modeled-throughput
-    # metric decode coarsening buys; ``events_per_s`` above stays the
-    # raw kernel number so the regression gate compares like-for-like.
-    coarse_hops = -(-hops // KERNEL_COARSEN)  # ceil
-    coarse_walls = rounds(coarsen=KERNEL_COARSEN)
-    coarse_events = kernel_event_count(n_processes, coarse_hops)
-    coarse_best = min(coarse_walls)
-    token_steps = n_processes * hops
-
     return {
         "events_per_s": events / best,
         "events_per_s_median": events / sorted(walls)[len(walls) // 2],
@@ -157,12 +116,6 @@ def kernel(quick: bool = False, jobs: int = 1) -> dict:
         "wall_s_best": best,
         "wall_s_spread": max(walls) - best,
         "repeats": repeats,
-        "token_steps": token_steps,
-        "token_steps_per_s": token_steps / coarse_best,
-        "coarsen": KERNEL_COARSEN,
-        "coarse_events": coarse_events,
-        "coarse_events_per_s": coarse_events / coarse_best,
-        "coarse_wall_s_best": coarse_best,
     }
 
 
@@ -195,10 +148,6 @@ def _e2e_metrics(env: Environment, sim_s: float, wall_s: float) -> dict:
         "wall_s": wall_s,
         "sim_s_per_wall_s": sim_s / wall_s,
     }
-    # Raw kernel events: deflated by design under decode coarsening
-    # (that is the point), so BENCH artifacts carry modeled tokens
-    # alongside and the regression gate never compares events/s across
-    # different coarsening settings.
     processed = env.events_processed
     out["events"] = processed
     out["events_per_s"] = processed / wall_s

@@ -454,12 +454,6 @@ def cmd_bench(args) -> int:
             f"kernel: {kernel['events_per_s']:,.0f} events/s vs recorded "
             f"pre-fast-path baseline {base:,.0f} ({speedup:.2f}x)"
         )
-        if "token_steps_per_s" in kernel:
-            print(
-                f"kernel (coarsened x{kernel['coarsen']}): "
-                f"{kernel['token_steps_per_s']:,.0f} modeled token-steps/s "
-                f"({kernel['token_steps_per_s'] / base:,.2f}x baseline)"
-            )
     print(f"peak RSS: {doc['peak_rss_bytes'] / 2**20:,.0f} MiB")
 
     benchmarks.write_bench(doc, out_path)

@@ -228,49 +228,29 @@ class CFSEngine(LLMEngineBase):
         slice_batch = len(self.running)
         seen: dict[int, Request] = {}
         try:
-            tokens_left = self.slice_tokens
-            while tokens_left > 0:
+            for _ in range(self.slice_tokens):
                 batch = list(self.running)
                 if not batch:
                     return
-                # Time-warp coarsening (see VLLMEngine._decode_step):
-                # fuse up to decode_coarsen of the slice's per-token
-                # steps into one aggregate compute event, clamped so no
-                # sequence finishes mid-window.  KV capacity for the
-                # whole slice was budgeted by _select_active, so a
-                # refused append is a budgeting bug, never a dropped
-                # token.
-                k = 1
-                if self.decode_coarsen > 1:
-                    k = min(
-                        self.decode_coarsen,
-                        tokens_left,
-                        min(r.max_new_tokens - r.generated_tokens for r in batch),
-                    )
-                n = len(batch)
+                # KV capacity for the whole slice was budgeted by
+                # _select_active, so a refused append is a budgeting
+                # bug, never a dropped token.
                 context = sum(r.total_tokens for r in batch)
-                if k == 1:
-                    step = self.model.decode_step_time(self.gpu.spec, n, context)
-                else:
-                    step_time = self.model.decode_step_time
-                    step = 0.0
-                    for s in range(k):
-                        step += step_time(self.gpu.spec, n, context + s * n)
-                yield from self.gpu.compute_op(step)
-                for _ in range(k):
-                    for request in batch:
-                        seen.setdefault(request.req_id, request)
-                        if not self.kv.append_token(request.req_id):
-                            raise AllocationError(
-                                f"{self.name}: no KV block for request "
-                                f"{request.req_id} inside its budgeted slice"
-                            )
-                        self._finish_token(request)
-                        if request.done:
-                            yield from self._maybe_cache_context(request)
-                            self.running.remove(request)
-                            self.kv.release(request.req_id)
-                tokens_left -= k
+                yield from self.gpu.compute_op(
+                    self.model.decode_step_time(self.gpu.spec, len(batch), context)
+                )
+                for request in batch:
+                    seen.setdefault(request.req_id, request)
+                    if not self.kv.append_token(request.req_id):
+                        raise AllocationError(
+                            f"{self.name}: no KV block for request "
+                            f"{request.req_id} inside its budgeted slice"
+                        )
+                    self._finish_token(request)
+                    if request.done:
+                        yield from self._maybe_cache_context(request)
+                        self.running.remove(request)
+                        self.kv.release(request.req_id)
         finally:
             if slice_batch and self.env.now > slice_started:
                 self.trace_span("slice", slice_started, batch=slice_batch)

@@ -49,25 +49,6 @@ class LLMEngineBase:
         it reports stats and donates / takes back KV memory.
     inform_every:
         Iterations between ``inform_stats`` calls.
-    decode_coarsen:
-        Time-warp decode coarsening window (default 1 = off).  When
-        ``k > 1``, engines that support it model up to ``k`` decode
-        steps of a frozen batch as ONE aggregate simulation event whose
-        duration is the exact sum of the per-step roofline times, then
-        replay the per-token bookkeeping at the window end.  This cuts
-        kernel event count by ~``k``× for decode-bound rigs (the
-        Revati-style coarsening move, see ``docs/performance.md``) at
-        the cost of intra-window timestamp fidelity: tokens inside a
-        window are recorded at the window-end time, and interrupts
-        (faults, preemptions, AQUA migrations) landing mid-window take
-        effect at the window boundary (*lazy repair*).  Aggregate
-        metrics (tokens, completions, byte conservation) are unchanged;
-        per-token latency time series are coarsened.  Window length is
-        always clamped so no request would finish mid-window and no
-        producer/inform boundary is skipped.  The ``k`` replays of one
-        window share one identity *skip set* of the requests that left
-        the batch (preempted, aborted or finished): a request that
-        leaves in one replay is skipped, in O(1), by every later one.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hub.  When set the
         engine reports request/token/requeue counters, latency
@@ -88,19 +69,15 @@ class LLMEngineBase:
         name: str = "llm-engine",
         tracer=None,
         telemetry=None,
-        decode_coarsen: int = 1,
     ) -> None:
         if not 0 < utilization <= 1:
             raise ValueError(f"utilization must be in (0, 1], got {utilization}")
-        if decode_coarsen < 1:
-            raise ValueError(f"decode_coarsen must be >= 1, got {decode_coarsen}")
         self.env: Environment = server.env
         self.gpu = gpu
         self.server = server
         self.model = model
         self.aqua_lib = aqua_lib
         self.inform_every = inform_every
-        self.decode_coarsen = decode_coarsen
         self.name = name
         self.telemetry = telemetry
         if tracer is None and telemetry is not None:
@@ -181,25 +158,6 @@ class LLMEngineBase:
             self.telemetry.token_generated(self.name, request)
         if request.done:
             self.metrics.record_completion(request)
-
-    def _decode_window_len(self, batch) -> int:
-        """Length of the next time-warp decode window for ``batch``.
-
-        Clamped so the aggregate event cannot paper over a boundary the
-        exact path would have observed: no request in the frozen batch
-        may reach ``max_new_tokens`` before the final modelled step, and
-        the window may not cross a producer-inform or memory-sample
-        iteration boundary (``_serve`` counts a window as its modelled
-        number of iterations).
-        """
-        k = min(self.decode_coarsen,
-                min(r.max_new_tokens - r.generated_tokens for r in batch))
-        if self.aqua_lib is not None:
-            k = min(k, self.inform_every - self.iteration % self.inform_every)
-        sample_every = getattr(self, "sample_every", 0)
-        if sample_every:
-            k = min(k, sample_every - self.iteration % sample_every)
-        return max(1, k)
 
     def requeue(self, request: Request) -> None:
         """Return an in-flight request to the head of the waiting queue.

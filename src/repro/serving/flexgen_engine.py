@@ -63,22 +63,11 @@ class FlexGenEngine(LLMEngineBase):
     def _io_step(self, tensor, nbytes: int) -> Generator:
         yield from tensor.fetch(nbytes=nbytes, pieces=self._stream_pieces())
 
-    def _io_window(self, tensor, total: int, k: int) -> Generator:
-        """The I/O leg of a coarsened window: ``k`` sequential context
-        re-reads, each identical to the per-token path's (same piece
-        count, same per-read clamp to the tensor size), issued inside
-        one process so the window costs one io∥compute barrier."""
-        kv_bytes = self.model.kv_bytes
-        for s in range(1, k + 1):
-            yield from self._io_step(tensor, kv_bytes(total + s))
-
-    def _compute_step(self, duration: float | None = None) -> Generator:
+    def _compute_step(self) -> Generator:
         # Streaming the weights through HBM dominates single-sequence
         # decode compute; attention math runs against the KV window that
         # is being DMA'd in concurrently.
-        if duration is None:
-            duration = self.model.decode_step_time(self.gpu.spec, 1, 0)
-        yield from self.gpu.compute_op(duration)
+        yield from self.gpu.compute_op(self.model.decode_step_time(self.gpu.spec, 1, 0))
 
     def _stamped(self, gen: Generator, sink: dict, key: str) -> Generator:
         """Run ``gen`` and note its completion time (timing-neutral)."""
@@ -116,9 +105,6 @@ class FlexGenEngine(LLMEngineBase):
 
             # Decode: every token re-reads the whole context (plus writes
             # one token of fresh KV, folded into the same stream).
-            if self.decode_coarsen > 1:
-                yield from self._decode_stream_window(request, tensor, max_total)
-                return
             while not request.done and request.total_tokens < max_total:
                 io_bytes = self.model.kv_bytes(request.total_tokens + 1)
                 if self.telemetry is None:
@@ -150,59 +136,6 @@ class FlexGenEngine(LLMEngineBase):
                     self.attr_mark([request], "offload_fetch")
         finally:
             tensor.free()
-
-    def _decode_stream_window(self, request: Request, tensor, max_total: int) -> Generator:
-        """Time-warp coarsening of the streamed decode loop.
-
-        Up to ``decode_coarsen`` per-token io∥compute rounds are fused
-        into ONE overlapped window: the I/O leg replays the ``k``
-        per-token context re-reads back to back inside a single process
-        (:meth:`_io_window` — byte- and piece-identical to the exact
-        path, so its elapsed time is the exact sum) and the compute leg
-        is ``k`` roofline decode steps in one op.  Windows are clamped
-        to end exactly on ``respond_every`` boundaries, so the AQUA
-        control-loop cadence — where migrations land — is identical to
-        the exact path.  Lazy repair is conservative: a
-        :class:`~repro.aqua.tensor.TensorLostError` mid-window unwinds
-        the *whole* window (no tokens recorded), and the requeued
-        request recomputes from its last committed token.
-        """
-        step = self.model.decode_step_time(self.gpu.spec, 1, 0)
-        while not request.done and request.total_tokens < max_total:
-            generated = request.generated_tokens
-            k = min(
-                self.decode_coarsen,
-                request.max_new_tokens - generated,
-                max_total - request.total_tokens,
-                self.respond_every - generated % self.respond_every,
-            )
-            total = request.total_tokens
-            if self.telemetry is None:
-                io = self.env.process(self._io_window(tensor, total, k))
-                compute = self.env.process(self._compute_step(k * step))
-                yield AllOf(self.env, [io, compute])
-            else:
-                finished: dict[str, float] = {}
-                io = self.env.process(
-                    self._stamped(
-                        self._io_window(tensor, total, k), finished, "io"
-                    )
-                )
-                compute = self.env.process(
-                    self._stamped(self._compute_step(k * step), finished, "compute")
-                )
-                yield AllOf(self.env, [io, compute])
-                bound = (
-                    "offload_fetch"
-                    if finished["io"] >= finished["compute"]
-                    else "decode_hbm"
-                )
-                self.attr_mark([request], bound)
-            for _ in range(k):
-                self._finish_token(request)
-            if request.generated_tokens % self.respond_every == 0:
-                yield from self.aqua_lib.respond()
-                self.attr_mark([request], "offload_fetch")
 
     def _serve(self) -> Generator:
         while True:

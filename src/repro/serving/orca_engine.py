@@ -47,43 +47,23 @@ class OrcaEngine(VLLMEngine):
 
     def _decode_step(self) -> Generator:
         batch = list(self.running)
-        # Time-warp coarsening (see VLLMEngine._decode_step): k modelled
-        # iterations charged as one aggregate event.  With worst-case
-        # reservations there is nothing to repair lazily — no appends,
-        # no preemptions — so only the token bookkeeping replays.
-        k = 1 if self.decode_coarsen == 1 else self._decode_window_len(batch)
         n = len(batch)
         context = sum(r.total_tokens for r in batch)
-        if k == 1:
-            step = self.model.decode_step_time(self.gpu.spec, n, context)
-        else:
-            step_time = self.model.decode_step_time
-            spec = self.gpu.spec
-            step = 0.0
-            for s in range(k):
-                step += step_time(spec, n, context + s * n)
+        step = self.model.decode_step_time(self.gpu.spec, n, context)
         started = self.env.now
         yield from self.gpu.compute_op(step)
-        if k == 1:
-            self.trace_span("decode", started, batch=n)
-        else:
-            self.trace_span("decode-window", started, batch=n, steps=k)
+        self.trace_span("decode", started, batch=n)
         if self.telemetry is not None:
-            for _ in range(k):
-                self.telemetry.decode_batch(self.name, n)
+            self.telemetry.decode_batch(self.name, n)
             self.attr_mark(batch, "decode_hbm")
-        for _ in range(k):
-            for request in batch:
-                if request.done:
-                    continue
-                # The reservation already covers this token: no allocation,
-                # no possibility of mid-generation OOM (that is the one
-                # thing worst-case reservation buys).
-                self._finish_token(request)
-                if request.done:
-                    self.running.remove(request)
-                    self.kv.release(request.req_id)
-        self.iteration += k - 1
+        for request in batch:
+            # The reservation already covers this token: no allocation,
+            # no possibility of mid-generation OOM (that is the one
+            # thing worst-case reservation buys).
+            self._finish_token(request)
+            if request.done:
+                self.running.remove(request)
+                self.kv.release(request.req_id)
 
     @property
     def reserved_unused_bytes(self) -> int:

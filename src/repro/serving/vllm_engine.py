@@ -120,77 +120,34 @@ class VLLMEngine(LLMEngineBase):
                 self.running.append(request)
 
     def _decode_step(self) -> Generator:
-        """One decode iteration for the whole running batch.
-
-        With ``decode_coarsen > 1`` this becomes a *time-warp window*:
-        up to ``decode_coarsen`` iterations of the frozen batch are
-        charged as ONE aggregate compute event (the duration is the
-        exact sum of the per-step roofline times, so the clock advances
-        identically), and the per-token bookkeeping — KV appends,
-        preemptions, aborts, completions — is replayed at the window
-        end (*lazy repair*).  The window is clamped by
-        :meth:`LLMEngineBase._decode_window_len` so no sequence can
-        finish mid-window and no producer/sample boundary is skipped.
-        """
+        """One decode iteration for the whole running batch."""
         batch = list(self.running)
-        k = 1 if self.decode_coarsen == 1 else self._decode_window_len(batch)
-        if k == 1:
-            context = sum(r.total_tokens for r in batch)
-            step = self.model.decode_step_time(self.gpu.spec, len(batch), context)
-            started = self.env.now
-            yield from self.gpu.compute_op(step)
-            self.trace_span("decode", started, batch=len(batch))
-            if self.telemetry is not None:
-                self.telemetry.decode_batch(self.name, len(batch))
-                self.attr_mark(batch, "decode_hbm")
-            yield from self._decode_bookkeeping(batch, set())
-            return
-
-        n = len(batch)
         context = sum(r.total_tokens for r in batch)
-        spec = self.gpu.spec
-        step_time = self.model.decode_step_time
-        duration = 0.0
-        for s in range(k):
-            # Each modelled step grows every sequence's context by one.
-            duration += step_time(spec, n, context + s * n)
+        step = self.model.decode_step_time(self.gpu.spec, len(batch), context)
         started = self.env.now
-        yield from self.gpu.compute_op(duration)
-        self.trace_span("decode-window", started, batch=n, steps=k)
+        yield from self.gpu.compute_op(step)
+        self.trace_span("decode", started, batch=len(batch))
         if self.telemetry is not None:
-            for _ in range(k):
-                self.telemetry.decode_batch(self.name, n)
+            self.telemetry.decode_batch(self.name, len(batch))
             self.attr_mark(batch, "decode_hbm")
-        # One skip set spans all k replays: a request that leaves the
-        # batch in one replay (preempted, aborted, finished) must be
-        # skipped by every later replay of the window.
-        left: set[Request] = set()
-        for _ in range(k):
-            yield from self._decode_bookkeeping(batch, left)
-        # The window stood in for k scheduler iterations; _serve's own
-        # increment accounts for the last one.
-        self.iteration += k - 1
+        yield from self._decode_bookkeeping(batch)
 
-    def _decode_bookkeeping(
-        self, batch: list[Request], left: set[Request]
-    ) -> Generator:
+    def _decode_bookkeeping(self, batch: list[Request]) -> Generator:
         """Account one generated token for every sequence in ``batch``.
 
-        ``left`` is the identity set of requests that have left the
-        batch since it was frozen; they are skipped, and every request
-        that leaves here (preemption victim, abort, completion) is
-        added to it.  ``batch`` is a snapshot of ``running``, which
-        only shrinks until the step or window ends, so a request of
-        ``batch`` is running exactly when it is not in ``left``.
+        ``batch`` is a snapshot of ``running``.  ``preempted`` is the
+        identity set of this step's preemption victims: a victim later
+        in ``batch`` is no longer running and is skipped in O(1).
         """
         kv = self.kv
+        preempted: set[Request] = set()
         for request in batch:
-            if request in left:
-                continue  # left the batch earlier this step or window
+            if request in preempted:
+                continue
             if not kv.append_token(request.req_id):
                 victim = yield from self._preempt_for(request)
                 if victim is not None:
-                    left.add(victim)
+                    preempted.add(victim)
                 if victim is None or not kv.append_token(request.req_id):
                     # Still no room (nothing left to preempt): end the
                     # sequence here, as a context-length abort would.
@@ -198,13 +155,11 @@ class VLLMEngine(LLMEngineBase):
                     self._finish_token(request)
                     self.running.remove(request)
                     kv.release(request.req_id)
-                    left.add(request)
                     continue
             self._finish_token(request)
             if request.done:
                 self.running.remove(request)
                 kv.release(request.req_id)
-                left.add(request)
 
     def _preempt_for(self, needy: Request) -> Generator:
         """Free KV space by preempting the youngest sequence.
@@ -275,7 +230,7 @@ class VLLMEngine(LLMEngineBase):
         self.attr_mark([request], "prefill_compute")
         if batch:
             self.attr_mark(batch, "decode_hbm")
-            yield from self._decode_bookkeeping(batch, set())
+            yield from self._decode_bookkeeping(batch)
         self.prefilling[0][1] -= chunk
         if self.prefilling[0][1] <= 0:
             self.prefilling.pop(0)

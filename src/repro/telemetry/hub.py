@@ -292,9 +292,7 @@ class Telemetry:
             self.requests_completed.labels(engine=engine).inc()
             if request.ttft is not None:
                 self.ttft_seconds.labels(engine=engine).observe(request.ttft)
-                # TPOT from first/last token timestamps only, so it is
-                # exact even under decode coarsening (which fuses the
-                # per-token steps in between).
+                # TPOT from first/last token timestamps only.
                 if request.generated_tokens > 1:
                     tpot = (request.rct - request.ttft) / (
                         request.generated_tokens - 1

@@ -313,8 +313,8 @@ class SLOTracker:
             return request.ttft
         if metric == "e2e":
             return request.rct
-        # tpot: steady-state decode pace, robust to decode coarsening
-        # because it uses only the first/last token timestamps.
+        # tpot: steady-state decode pace from the first/last token
+        # timestamps.
         if request.ttft is None or request.rct is None:
             return None
         if request.generated_tokens <= 1:

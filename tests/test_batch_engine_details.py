@@ -61,6 +61,25 @@ def test_backlog_batches_fully():
     assert engine.batches_run == 3
 
 
+def test_partial_backlog_tail_runs_as_its_own_batch():
+    """A backlog of two full batches and a partial one runs as three
+    batches, each stamping its samples at its own end."""
+    env, server, engine = make_engine(batch_size=8)
+    requests = [
+        Request(arrival_time=0.0, prompt_tokens=1, max_new_tokens=1)
+        for _ in range(20)
+    ]
+    submit_all(env, engine, requests)
+    env.run(until=300)
+    assert all(r.done for r in requests)
+    assert engine.batches_run == 3
+    assert len(engine.metrics.completed) == 20
+    finishes = [r.finish_time for r in requests]
+    waves = sorted(set(finishes))
+    assert len(waves) == 3
+    assert [finishes.count(t) for t in waves] == [8, 8, 4]
+
+
 def test_rct_includes_queue_wait():
     env, server, engine = make_engine(batch_size=2)
     requests = [

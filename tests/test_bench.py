@@ -30,21 +30,6 @@ def test_quick_run_is_schema_valid(quick_kernel_doc):
     assert quick_kernel_doc["baseline"]["kernel_events_per_s"] == 531_646
 
 
-def test_kernel_doc_records_coarsened_companion_metrics(quick_kernel_doc):
-    """BENCH artifacts carry raw events AND modelled token-steps (PR 7):
-    coarsening deflates events/s by design, so the artifact records both
-    bases and the gate only ever compares the raw one."""
-    from repro.benchmarks.scenarios import KERNEL_COARSEN
-
-    kernel = quick_kernel_doc["scenarios"]["kernel"]
-    assert kernel["coarsen"] == KERNEL_COARSEN > 1
-    assert kernel["token_steps"] == 100 * 60  # quick: 100 procs x 60 hops
-    assert kernel["token_steps_per_s"] > 0
-    # The coarse companion modelled the same horizon in far fewer events.
-    assert kernel["coarse_events"] < kernel["events"]
-    assert kernel["coarse_wall_s_best"] > 0
-
-
 def test_unknown_scenario_rejected():
     with pytest.raises(KeyError, match="no-such-scenario"):
         benchmarks.run_bench(["no-such-scenario"], quick=True)

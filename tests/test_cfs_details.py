@@ -44,6 +44,19 @@ def test_cfs_single_request_no_switching():
     assert engine.context_switch_time == 0.0
 
 
+def test_cfs_slice_decodes_one_token_per_step():
+    """A 5-token slice is five decode steps: a lone request's 22 decode
+    tokens take five slices (5+5+5+5+2) and stop at its exact budget."""
+    env, engine = make_cfs(slice_tokens=5)
+    req = Request(arrival_time=0.0, prompt_tokens=100, max_new_tokens=23)
+    engine.submit(req)
+    env.run(until=60)
+    assert req.done and req.generated_tokens == 23
+    assert engine.slices_run == 5
+    assert engine.metrics.tokens_generated == 23
+    assert engine.allocator.used_blocks == 0
+
+
 def test_cfs_all_fit_no_switching():
     """When every live prompt fits in KV memory, CFS degenerates to
     continuous batching: zero switch overhead."""

@@ -90,6 +90,24 @@ def test_flexgen_rig_has_lib_even_without_aqua():
     assert rig.consumer_lib is not None  # DRAM fallback path
 
 
+@pytest.mark.parametrize(
+    "kind, model",
+    [("vllm", MISTRAL_7B), ("cfs", MISTRAL_7B), ("flexgen", OPT_30B)],
+    ids=["vllm", "cfs", "flexgen"],
+)
+def test_build_rig_engines_stamp_each_token_at_its_own_step(kind, model):
+    """Every generated token is recorded when its own step ends, so
+    per-token TTFT/TPOT series carry one distinct time per token."""
+    rig = build_consumer_rig(kind, model, use_aqua=False).start()
+    req = Request(arrival_time=0.0, prompt_tokens=200, max_new_tokens=24)
+    submit_all(rig.env, rig.consumer_engine, [req])
+    drain(rig.env, [req], timeout=120)
+    times = rig.consumer_engine.metrics.token_times
+    assert req.done and len(times) == 24
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert times[0] == req.first_token_time and times[-1] == req.finish_time
+
+
 def test_drain_returns_when_done():
     rig = build_consumer_rig("vllm", MISTRAL_7B, use_aqua=False).start()
     req = Request(arrival_time=0.0, prompt_tokens=50, max_new_tokens=20)

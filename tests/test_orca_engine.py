@@ -26,6 +26,23 @@ def test_orca_serves_requests():
     assert engine.allocator.used_blocks == 0
 
 
+def test_orca_equal_batch_finishes_together():
+    """A frozen batch of equal requests decodes in lockstep: every
+    request gets exactly its budget and all finish at the same step."""
+    env, server, engine = make_orca()
+    requests = [
+        Request(arrival_time=0.0, prompt_tokens=100, max_new_tokens=40)
+        for _ in range(8)
+    ]
+    submit_all(env, engine, requests)
+    env.run(until=120)
+    assert all(r.generated_tokens == 40 for r in requests)
+    assert engine.metrics.tokens_generated == 8 * 40
+    assert len({r.finish_time for r in requests}) == 1
+    assert engine.running == []
+    assert engine.allocator.used_blocks == 0
+
+
 def test_orca_reserves_worst_case():
     env, server, engine = make_orca()
     req = Request(arrival_time=0.0, prompt_tokens=100, max_new_tokens=900)

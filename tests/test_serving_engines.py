@@ -94,6 +94,11 @@ def test_vllm_preemption_on_kv_exhaustion():
     env.run(until=1200)
     assert engine.preemptions > 0
     assert all(r.done for r in requests)
+    # Preempted sequences recompute and still end with exactly their
+    # token budget; nothing is left allocated.
+    assert all(r.generated_tokens == r.max_new_tokens for r in requests)
+    assert len(engine.metrics.completed) == len(requests)
+    assert engine.allocator.used_blocks == 0
 
 
 def test_vllm_rejects_oversized_prompt():

@@ -1,11 +1,11 @@
 """The serving hot path's contracts: identity equality, one KV call per
-token, and the skip set that spans a coarsened decode window.
+token, and the skip set of one decode step.
 
 ``Request`` and ``SequenceState`` compare and hash by identity, so the
 engines' per-token membership tests never compare fields.  vLLM's
-decode bookkeeping skips requests that left the batch (preempted,
-aborted, finished) through one identity set shared by every replay of a
-time-warp window; a set per replay would touch a released sequence.
+decode bookkeeping skips this step's preemption victims through an
+identity set; without it a victim later in the batch would append to
+its released sequence.
 """
 
 import dataclasses
@@ -54,21 +54,25 @@ def test_list_remove_takes_the_identical_request():
 
 
 # ---------------------------------------------------------------------------
-# vLLM: the skip set spans a coarsened window
+# vLLM: aborts and preemptions inside one decode step
 # ---------------------------------------------------------------------------
-def test_vllm_lone_sequence_outgrowing_kv_aborts_once_under_coarsening():
-    """A lone sequence runs out of KV mid-window with nothing to preempt.
-
-    The cache holds 10 blocks (160 tokens); the 100-token prompt's 61st
-    decode append needs an 11th block, which lands in replay 5 of an
-    8-step window.  The abort must end the request exactly once and
-    replays 6..8 must skip it, not append to its released sequence.
-    """
+def make_vllm_with_blocks(n_blocks, model=MISTRAL_7B):
     env = Environment()
     server = Server(env, n_gpus=1, topology="p2p")
-    engine = VLLMEngine(server.gpus[0], server, MISTRAL_7B, decode_coarsen=8)
-    engine.allocator.shrink_any(engine.allocator.n_blocks - 10)
-    assert engine.allocator.n_blocks == 10
+    engine = VLLMEngine(server.gpus[0], server, model)
+    engine.allocator.shrink_any(engine.allocator.n_blocks - n_blocks)
+    assert engine.allocator.n_blocks == n_blocks
+    return env, engine
+
+
+def test_vllm_lone_sequence_outgrowing_kv_aborts_once():
+    """A lone sequence runs out of KV with nothing to preempt.
+
+    The cache holds 10 blocks (160 tokens); the 100-token prompt's 61st
+    decode append needs an 11th block.  The abort must end the request
+    exactly once, with that step's token, and release every block.
+    """
+    env, engine = make_vllm_with_blocks(10)
     request = Request(arrival_time=0.0, prompt_tokens=100, max_new_tokens=500)
     engine.start()
     submit_all(env, engine, [request])
@@ -83,6 +87,29 @@ def test_vllm_lone_sequence_outgrowing_kv_aborts_once_under_coarsening():
     assert request.req_id not in engine.kv.sequences
     assert engine.allocator.used_blocks == 0
     assert engine.allocator.free_blocks == 10
+
+
+def test_vllm_skips_a_victim_preempted_earlier_in_the_same_step():
+    """The youngest sequence sits last in the batch, so when an older
+    one runs out of KV the victim is still ahead in the same step's
+    loop.  It must be skipped there, not appended to after its blocks
+    were released, and later recompute to its exact token budget."""
+    env, engine = make_vllm_with_blocks(12)
+    requests = [
+        Request(arrival_time=0.01 * i, prompt_tokens=48, max_new_tokens=40)
+        for i in range(3)
+    ]
+    engine.start()
+    submit_all(env, engine, requests)
+    env.run(until=120)
+
+    assert engine.preemptions > 0
+    assert all(r.done for r in requests)
+    assert all(r.generated_tokens == r.max_new_tokens for r in requests)
+    assert engine.metrics.tokens_generated == sum(r.max_new_tokens for r in requests)
+    assert len(engine.metrics.completed) == 3
+    assert engine.allocator.used_blocks == 0
+    assert engine.allocator.free_blocks == 12
 
 
 # ---------------------------------------------------------------------------
