@@ -438,15 +438,10 @@ class AquaLib:
                 self.telemetry.lost_tensors.labels(gpu=self.name).inc()
             raise TensorLostError(tensor)
         if self.telemetry is not None:
-            op = "flush" if src is self.gpu else "fetch"
-            self.telemetry.offload_bytes.labels(gpu=self.name, op=op).inc(payload)
-            if tensor.ctx is not None:
-                track = f"aqua:{self.name}"
-                self.telemetry.tracer.add_span(
-                    op, track, started, self.env.now,
-                    request=tensor.ctx, nbytes=payload, tensor=tensor.tag,
-                )
-                self.telemetry.flow(tensor.ctx, track, time=started)
+            self.telemetry.record_offload(
+                self.name, "flush" if src is self.gpu else "fetch",
+                payload, tensor.ctx, tensor.tag, started,
+            )
 
     def __repr__(self) -> str:
         return (

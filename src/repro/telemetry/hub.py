@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.telemetry.attribution import LatencyAttributor
 from repro.telemetry.registry import Registry
-from repro.trace import Tracer
+from repro.trace import FlowEvent, Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.dma import Transfer
@@ -71,6 +71,13 @@ class Telemetry:
         self.registry = Registry()
         self.attribution = LatencyAttributor()
         self._flow_started: set[int] = set()
+        # Labelled children the per-event hooks bind on first use (the
+        # first event that would have created them), so the hot path
+        # skips Family.labels.  Never pre-created: a child that exists
+        # is a series that gets exported and scraped.
+        self._links: dict[str, _LinkChildren] = {}
+        self._tokens: dict[str, object] = {}
+        self._offloads: dict[tuple[str, str], tuple] = {}
         # Optional observability layer (see attach_observability).
         self.scraper = None
         self.slo = None
@@ -260,14 +267,17 @@ class Telemetry:
         """
         if ctx is None:
             return
-        if time is None:
-            time = self.env.now
+        self._flow_step(ctx, track, self.env.now if time is None else time, args)
+
+    def _flow_step(self, ctx: int, track: str, time: float, args: dict) -> None:
         if ctx in self._flow_started:
             phase = "t"
         else:
             phase = "s"
             self._flow_started.add(ctx)
-        self.tracer.add_flow("request", track, ctx, phase, time=time, **args)
+        # The phase is valid by construction: skip Tracer.add_flow's
+        # keyword packing and validation on this per-hop path.
+        self.tracer.flows.append(FlowEvent("request", track, time, ctx, phase, args))
 
     def flow_end(self, ctx: Optional[int], track: str,
                  time: Optional[float] = None, **args) -> None:
@@ -287,7 +297,10 @@ class Telemetry:
         self.attribution.observe(request)
 
     def token_generated(self, engine: str, request: "Request") -> None:
-        self.tokens_generated.labels(engine=engine).inc()
+        tokens = self._tokens.get(engine)
+        if tokens is None:
+            tokens = self._tokens[engine] = self.tokens_generated.labels(engine=engine)
+        tokens.inc()
         if request.done:
             self.requests_completed.labels(engine=engine).inc()
             if request.ttft is not None:
@@ -317,20 +330,51 @@ class Telemetry:
     # ------------------------------------------------------------------
     def record_transfer(self, transfer: "Transfer", channels) -> None:
         contention = transfer.acquired_at - transfer.started_at
+        nbytes = transfer.nbytes
+        links = []
         for channel in channels:
-            self.link_bytes.labels(channel=channel.name).inc(transfer.nbytes)
-            self.link_transfers.labels(channel=channel.name).inc()
+            link = self._links.get(channel.name)
+            if link is None:
+                link = self._links[channel.name] = _LinkChildren(self, channel.name)
+            link.bytes.inc(nbytes)
+            link.transfers.inc()
             if contention > 0:
-                self.link_contention.labels(channel=channel.name).inc(contention)
-        if transfer.ctx is not None:
-            self.attribution.note_contention(transfer.ctx, contention)
-            for channel in channels:
-                track = f"link:{channel.name}"
-                self.tracer.add_span(
-                    "dma", track, transfer.acquired_at, transfer.finished_at,
-                    request=transfer.ctx, nbytes=transfer.nbytes,
+                if link.contention is None:
+                    link.contention = self.link_contention.labels(channel=channel.name)
+                link.contention.inc(contention)
+            links.append(link)
+        ctx = transfer.ctx
+        if ctx is not None:
+            self.attribution.note_contention(ctx, contention)
+            start, end = transfer.acquired_at, transfer.finished_at
+            for link in links:
+                # end >= start by construction: no add_span check needed.
+                self.tracer.spans.append(
+                    Span("dma", link.track, start, end, {"request": ctx, "nbytes": nbytes})
                 )
-                self.flow(transfer.ctx, track, time=transfer.acquired_at)
+                self._flow_step(ctx, link.track, start, {})
+
+    # ------------------------------------------------------------------
+    # AQUA-LIB hook (called by AquaLib._move_payload on completion)
+    # ------------------------------------------------------------------
+    def record_offload(self, gpu: str, op: str, nbytes: int,
+                       ctx: Optional[int], tensor: str, started: float) -> None:
+        """One fetch or flush of ``nbytes`` by the AQUA-LIB on ``gpu``;
+        a request-scoped move also gets a span and a flow step on the
+        ``aqua:<gpu>`` track."""
+        bound = self._offloads.get((gpu, op))
+        if bound is None:
+            bound = self._offloads[(gpu, op)] = (
+                self.offload_bytes.labels(gpu=gpu, op=op), f"aqua:{gpu}"
+            )
+        counter, track = bound
+        counter.inc(nbytes)
+        if ctx is not None:
+            self.tracer.spans.append(
+                Span(op, track, started, self.env.now,
+                     {"request": ctx, "nbytes": nbytes, "tensor": tensor})
+            )
+            self._flow_step(ctx, track, started, {})
 
     # ------------------------------------------------------------------
     # Fault hook
@@ -351,6 +395,19 @@ class Telemetry:
 
     def metrics_dict(self) -> dict:
         return self.registry.to_dict()
+
+
+class _LinkChildren:
+    """One channel's link counters, bound by its first transfer.  The
+    contention child stays unbound until a transfer actually waited."""
+
+    __slots__ = ("bytes", "transfers", "contention", "track")
+
+    def __init__(self, hub: Telemetry, channel: str) -> None:
+        self.bytes = hub.link_bytes.labels(channel=channel)
+        self.transfers = hub.link_transfers.labels(channel=channel)
+        self.contention = None
+        self.track = f"link:{channel}"
 
 
 # ---------------------------------------------------------------------------

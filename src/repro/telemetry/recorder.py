@@ -25,6 +25,8 @@ import os
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
+from repro.telemetry.registry import SamplePlan
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.hub import Telemetry
 
@@ -82,6 +84,7 @@ class FlightRecorder:
         self.suppressed = 0
         self._last_capture: Optional[float] = None
         self._last_snapshot: dict[str, float] = {}
+        self._plan: Optional[SamplePlan] = None
 
     # ------------------------------------------------------------------
     # Ring ingestion
@@ -172,16 +175,17 @@ class FlightRecorder:
         sample name (empty when no telemetry hub is attached)."""
         if self.telemetry is None:
             return {}
-        from repro.telemetry.timeseries import sample_key
-
+        plan = self._plan
+        if plan is None or plan.registry is not self.telemetry.registry:
+            plan = self._plan = SamplePlan(self.telemetry.registry, _SNAPSHOT_FAMILIES)
+        plan.refresh()
         snapshot: dict[str, float] = {}
-        for family in self.telemetry.registry.collect():
-            if family.name not in _SNAPSHOT_FAMILIES:
-                continue
-            for name, labels, value in family.samples():
-                if name.endswith("_bucket"):
-                    continue
-                snapshot[sample_key(name, labels)] = value
+        for entry in plan.entries:
+            if len(entry) == 2:
+                snapshot[entry[1]] = entry[0].value
+            else:
+                snapshot[entry[1]] = entry[0].sum
+                snapshot[entry[2]] = entry[0].count
         return snapshot
 
     # ------------------------------------------------------------------

@@ -181,6 +181,7 @@ class Family:
         name: str,
         help: str,
         labelnames: Sequence[str] = (),
+        registry: Optional["Registry"] = None,
         **metric_kwargs,
     ) -> None:
         if not _METRIC_NAME_RE.match(name):
@@ -194,6 +195,7 @@ class Family:
         self.labelnames = tuple(labelnames)
         self.kind = metric_cls.kind
         self._metric_kwargs = metric_kwargs
+        self._registry = registry
         self._children: dict[tuple, object] = {}
 
     def labels(self, **labelvalues) -> object:
@@ -207,6 +209,8 @@ class Family:
         if child is None:
             child = self.metric_cls(**self._metric_kwargs)
             self._children[key] = child
+            if self._registry is not None:
+                self._registry.version += 1
         return child
 
     # -- unlabeled convenience -----------------------------------------
@@ -235,11 +239,15 @@ class Family:
         return self._default().value
 
     # -- collection ----------------------------------------------------
+    def children(self) -> Iterable[tuple]:
+        """``(((label, value), ...), child)`` pairs in sorted label order."""
+        for key in sorted(self._children):
+            yield tuple(zip(self.labelnames, key)), self._children[key]
+
     def samples(self) -> Iterable[tuple]:
         """``(sample_name, ((label, value), ...), value)`` triples."""
-        for key in sorted(self._children):
-            labels = tuple(zip(self.labelnames, key))
-            yield from self._children[key].samples(self.name, labels)
+        for labels, child in self.children():
+            yield from child.samples(self.name, labels)
 
     def __repr__(self) -> str:
         return (
@@ -253,6 +261,9 @@ class Registry:
 
     def __init__(self) -> None:
         self._families: dict[str, Family] = {}
+        #: Bumped whenever a family or a labelled child is created, so a
+        #: :class:`SamplePlan` can tell when its sample list went stale.
+        self.version = 0
 
     # ------------------------------------------------------------------
     def _register(self, metric_cls: type, name: str, help: str, labelnames, **kw) -> Family:
@@ -266,8 +277,9 @@ class Registry:
                     f"{existing.kind} with labels {existing.labelnames}"
                 )
             return existing
-        family = Family(metric_cls, name, help, labelnames, **kw)
+        family = Family(metric_cls, name, help, labelnames, registry=self, **kw)
         self._families[name] = family
+        self.version += 1
         return family
 
     def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Family:
@@ -326,6 +338,69 @@ class Registry:
                 ],
             }
         return out
+
+
+def sample_key(name: str, labels: Iterable[tuple[str, str]]) -> str:
+    """Canonical series key: the Prometheus sample notation.
+
+    ``aqua_engine_tokens_generated_total{engine="flexgen-OPT-30B"}`` —
+    the same rendering the text exposition format uses, so scraped
+    series line up 1:1 with exported samples.
+    """
+    labels = tuple(labels)
+    if not labels:
+        return name
+    rendered = ",".join(f'{k}="{v}"' for k, v in labels)
+    return f"{name}{{{rendered}}}"
+
+
+class SamplePlan:
+    """The non-bucket samples of a registry, with keys rendered once.
+
+    ``entries`` holds ``(child, key)`` for every counter and gauge child
+    and ``(child, sum_key, count_key)`` for every histogram child, in
+    export order: families in registration order, children in sorted
+    label order.  Readers take ``child.value`` (or ``child.sum`` and
+    ``child.count``) straight from the entries, so a scrape renders no
+    keys and builds no histogram buckets.
+
+    ``names`` restricts the plan to those families.  :meth:`refresh`
+    rebuilds ``entries`` only when the registry's :attr:`Registry.version`
+    moved, and renders keys for new children only.
+    """
+
+    def __init__(self, registry: Registry, names: Optional[Iterable[str]] = None) -> None:
+        self.registry = registry
+        self.names = None if names is None else frozenset(names)
+        self.entries: list[tuple] = []
+        self._version: Optional[int] = None
+        self._entry_of: dict[object, tuple] = {}
+
+    def refresh(self) -> bool:
+        """Rebuild ``entries`` if the registry changed; returns whether
+        it did."""
+        if self._version == self.registry.version:
+            return False
+        entries = []
+        for family in self.registry.collect():
+            if self.names is not None and family.name not in self.names:
+                continue
+            for labels, child in family.children():
+                entry = self._entry_of.get(child)
+                if entry is None:
+                    if family.kind == "histogram":
+                        entry = (
+                            child,
+                            sample_key(f"{family.name}_sum", labels),
+                            sample_key(f"{family.name}_count", labels),
+                        )
+                    else:
+                        entry = (child, sample_key(family.name, labels))
+                    self._entry_of[child] = entry
+                entries.append(entry)
+        self.entries = entries
+        self._version = self.registry.version
+        return True
 
 
 # ---------------------------------------------------------------------------

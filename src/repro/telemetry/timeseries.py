@@ -29,9 +29,10 @@ the form the dashboard plots.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from repro.telemetry.registry import Registry
+# sample_key is re-exported: series keys are part of this module's API.
+from repro.telemetry.registry import Registry, SamplePlan, sample_key  # noqa: F401
 
 
 class RingSeries:
@@ -91,20 +92,6 @@ class RingSeries:
         return {"times": self.times, "values": self.values}
 
 
-def sample_key(name: str, labels: Iterable[tuple[str, str]]) -> str:
-    """Canonical series key: the Prometheus sample notation.
-
-    ``aqua_engine_tokens_generated_total{engine="flexgen-OPT-30B"}`` —
-    the same rendering the text exposition format uses, so scraped
-    series line up 1:1 with exported samples.
-    """
-    labels = tuple(labels)
-    if not labels:
-        return name
-    rendered = ",".join(f'{k}="{v}"' for k, v in labels)
-    return f"{name}{{{rendered}}}"
-
-
 class MetricScraper:
     """Periodic simulated-clock scrape of a metrics registry.
 
@@ -131,6 +118,13 @@ class MetricScraper:
     simulated time — the SLO tracker evaluates burn rates there and the
     flight recorder records metric deltas.  Observers must be
     observation-only too.
+
+    A scrape walks a :class:`~repro.telemetry.registry.SamplePlan`:
+    each series key is rendered once, when its child first appears, and
+    the plan is rebuilt only after the registry gained a family or a
+    child.  Series are created in the order a walk over
+    ``Family.samples()`` would create them, which is the key order of
+    :meth:`to_dict`.
     """
 
     def __init__(
@@ -150,6 +144,12 @@ class MetricScraper:
         self.observers: list[Callable[[float], None]] = []
         self.scrapes = 0
         self._started = False
+        self._plan = SamplePlan(registry)
+        #: ``(child, append)`` and ``(child, append_sum, append_count)``
+        #: pairs bound to the series deques of the current plan.
+        self._scalars: list[tuple] = []
+        self._histograms: list[tuple] = []
+        self._last_scrape: Optional[float] = None
 
     # ------------------------------------------------------------------
     def start(self) -> "MetricScraper":
@@ -174,21 +174,45 @@ class MetricScraper:
         """Snapshot every family now; returns the samples appended."""
         if now is None:
             now = self.env.now
-        appended = 0
-        for family in self.registry.collect():
-            for name, labels, value in family.samples():
-                if name.endswith("_bucket"):
-                    continue  # distributions stay in the registry export
-                key = sample_key(name, labels)
-                series = self.series.get(key)
-                if series is None:
-                    series = self.series[key] = RingSeries(key, self.capacity)
-                series.append(now, value)
-                appended += 1
+        last = self._last_scrape
+        if last is not None and now < last:
+            # Every series got a sample at the last scrape, so checking
+            # once here is RingSeries.append's check for all of them.
+            raise ValueError(
+                f"non-monotonic scrape: t={now} precedes last scrape t={last}"
+            )
+        if self._plan.refresh():
+            self._bind_plan()
+        for child, append in self._scalars:
+            append((now, child.value))
+        for child, append_sum, append_count in self._histograms:
+            append_sum((now, child.sum))
+            append_count((now, child.count))
+        self._last_scrape = now
         self.scrapes += 1
         for observer in self.observers:
             observer(now)
-        return appended
+        return len(self._scalars) + 2 * len(self._histograms)
+
+    def _bind_plan(self) -> None:
+        scalars, histograms = [], []
+        for entry in self._plan.entries:
+            if len(entry) == 2:
+                child, key = entry
+                scalars.append((child, self._appender(key)))
+            else:
+                child, sum_key, count_key = entry
+                histograms.append(
+                    (child, self._appender(sum_key), self._appender(count_key))
+                )
+        self._scalars = scalars
+        self._histograms = histograms
+
+    def _appender(self, key: str) -> Callable[[tuple], None]:
+        series = self.series.get(key)
+        if series is None:
+            series = self.series[key] = RingSeries(key, self.capacity)
+        return series._samples.append
 
     # ------------------------------------------------------------------
     def matching(self, prefix: str) -> dict[str, RingSeries]:

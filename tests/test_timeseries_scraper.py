@@ -157,6 +157,18 @@ def test_scraper_observers_and_matching():
     assert scraper.matching("nope") == {}
 
 
+def test_scraper_rejects_a_scrape_back_in_time():
+    env, registry, tokens = _counter_rig()
+    tokens.labels(engine="a").inc(1.0)
+    scraper = MetricScraper(env, registry, interval=1.0)
+    scraper.scrape(2.0)
+    scraper.scrape(2.0)  # equal timestamps are legal
+    with pytest.raises(ValueError, match=r"non-monotonic scrape: t=1\.0 .* t=2\.0"):
+        scraper.scrape(1.0)
+    assert scraper.series['toy_tokens_total{engine="a"}'].times == [2.0, 2.0]
+    assert scraper.scrapes == 2
+
+
 def test_scraper_validates_interval():
     env = Environment()
     with pytest.raises(ValueError, match="interval"):
