@@ -116,24 +116,38 @@ class Coordinator:
         self.degraded_consumers: set[str] = set()
         #: Optional :class:`~repro.telemetry.Telemetry` hub (installed by
         #: the experiment harness).  Counts REST traffic per endpoint and
-        #: queued migrations per reason.
+        #: queued migrations per reason, for callers and consumers that
+        #: have no hub of their own: several telemetered rigs can share
+        #: one coordinator, and each AQUA-LIB's calls and migrations are
+        #: counted in that lib's hub.
         self.telemetry = None
         self._install_routes()
 
     # ------------------------------------------------------------------
     # REST facade
     # ------------------------------------------------------------------
-    def request(self, method: str, path: str, payload: Optional[dict] = None) -> Response:
-        """Entry point used by AQUA-LIB's southbound interface."""
-        if self.telemetry is not None:
-            self.telemetry.coordinator_requests.labels(
-                method=method, path=path
-            ).inc()
+    def request(
+        self, method: str, path: str, payload: Optional[dict] = None, telemetry=None
+    ) -> Response:
+        """Entry point used by AQUA-LIB's southbound interface.
+
+        ``telemetry`` is the calling AQUA-LIB's hub, which counts the
+        call; it defaults to the coordinator's own.
+        """
+        if telemetry is None:
+            telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.coordinator_requests.labels(method=method, path=path).inc()
         return self.router.request(method, path, payload)
 
-    def _count_migration(self, reason: str, n: int = 1) -> None:
-        if self.telemetry is not None and n > 0:
-            self.telemetry.migrations_queued.labels(reason=reason).inc(n)
+    def _count_migration(self, reason: str, consumer: str, n: int = 1) -> None:
+        """Count ``n`` migrations queued for ``consumer`` in its lib's hub
+        (the coordinator's own when the lib has none)."""
+        telemetry = getattr(self.libs.get(consumer), "telemetry", None)
+        if telemetry is None:
+            telemetry = self.telemetry
+        if telemetry is not None and n > 0:
+            telemetry.migrations_queued.labels(reason=reason).inc(n)
 
     def _install_routes(self) -> None:
         route = self.router.route
@@ -272,15 +286,16 @@ class Coordinator:
                 return Response.error(f"{producer} has no lease", status=404)
             lease.accepting = False
             reclaim = self.reclaims.setdefault(producer, ReclaimRequest(producer))
-            queued = 0
+            queued: dict[str, int] = {}
             for alloc in self.allocations.values():
                 if alloc.location == producer:
                     reclaim.pending_tensors.add(alloc.tensor_id)
                     self._migrations.setdefault(alloc.consumer, {})[
                         alloc.tensor_id
                     ] = DRAM
-                    queued += 1
-            self._count_migration("reclaim", queued)
+                    queued[alloc.consumer] = queued.get(alloc.consumer, 0) + 1
+            for consumer, n in queued.items():
+                self._count_migration("reclaim", consumer, n)
             if reclaim.done:
                 self._finish_reclaim(producer)
                 return Response.json({"pending": 0, "done": True})
@@ -407,7 +422,7 @@ class Coordinator:
             alloc.location = location
             # The move is still owed; retry it at a later boundary.
             self._migrations.setdefault(alloc.consumer, {})[tensor_id] = target
-            self._count_migration("retry")
+            self._count_migration("retry", alloc.consumer)
             return Response.json({"location": location, "requeued": target})
 
     def respond(self, consumer: str) -> Response:
@@ -445,7 +460,7 @@ class Coordinator:
                             moves[alloc.tensor_id] = producer
                             budget -= alloc.nbytes
                             upgrades += 1
-                    self._count_migration("upgrade", upgrades)
+                    self._count_migration("upgrade", consumer, upgrades)
             return Response.json(
                 {"migrations": {str(tid): target for tid, target in moves.items()}}
             )
@@ -505,7 +520,7 @@ class Coordinator:
                             alloc.tensor_id
                         ] = DRAM
                         evacuating += 1
-            self._count_migration("link-degraded", evacuating)
+            self._count_migration("link-degraded", consumer, evacuating)
             return Response.json({"evacuating": evacuating})
 
     def link_restored(self, consumer: str) -> Response:

@@ -104,14 +104,19 @@ class AquaLib:
     # ==================================================================
     # Southbound helpers
     # ==================================================================
+    def _request(self, method: str, path: str, payload: dict):
+        # Counted in this lib's hub, also on a coordinator shared by
+        # several telemetered rigs.
+        return self.coordinator.request(method, path, payload, telemetry=self.telemetry)
+
     def _post(self, path: str, payload: dict) -> dict:
-        resp = self.coordinator.request("POST", path, payload)
+        resp = self._request("POST", path, payload)
         if not resp.ok:
             raise RuntimeError(f"coordinator POST {path} failed: {resp.body}")
         return resp.body
 
     def _get(self, path: str, payload: dict) -> dict:
-        resp = self.coordinator.request("GET", path, payload)
+        resp = self._request("GET", path, payload)
         if not resp.ok:
             raise RuntimeError(f"coordinator GET {path} failed: {resp.body}")
         return resp.body
@@ -259,9 +264,7 @@ class AquaLib:
         """
         if nbytes <= 0:
             raise ValueError(f"offer must be positive, got {nbytes}")
-        resp = self.coordinator.request(
-            "POST", "/lease", {"producer": self.name, "nbytes": nbytes}
-        )
+        resp = self._request("POST", "/lease", {"producer": self.name, "nbytes": nbytes})
         if not resp.ok:
             return 0
         self.gpu.hbm.reserve(AQUA_OFFER_TAG, nbytes)
@@ -319,9 +322,7 @@ class AquaLib:
             return
         # Reserve the destination with the coordinator first; a 409 means
         # the lease vanished between /respond and now — stay put.
-        resp = self.coordinator.request(
-            "POST", "/moved", {"tensor_id": tensor.id, "location": target}
-        )
+        resp = self._request("POST", "/moved", {"tensor_id": tensor.id, "location": target})
         if not resp.ok:
             return
         src_device = tensor._device
@@ -379,7 +380,9 @@ class AquaLib:
         attempt = 1
         while True:
             try:
-                yield from self.server.transfer(src, dst, nbytes, pieces=pieces, ctx=ctx)
+                yield from self.server.transfer(
+                    src, dst, nbytes, pieces=pieces, ctx=ctx, telemetry=self.telemetry
+                )
                 return True
             except GpuFailedError:
                 return False

@@ -71,8 +71,9 @@ class Server:
         self.interconnect = Interconnect(env)
         self.transfer_stats = TransferStats()
         #: Optional :class:`~repro.telemetry.Telemetry` hub; installed by
-        #: ``Telemetry.attach_server``.  When set, every completed DMA
-        #: copy reports per-channel metrics (and request-scoped spans).
+        #: ``Telemetry.attach_server``.  Completed DMA copies report
+        #: per-channel metrics (and request-scoped spans) to it unless
+        #: the caller names its own hub (see :meth:`transfer`).
         self.telemetry = None
         self._wire()
 
@@ -124,11 +125,16 @@ class Server:
         nbytes: float,
         pieces: int = 1,
         ctx: Optional[int] = None,
+        telemetry=None,
     ) -> Generator:
         """Copy ``nbytes`` from ``src`` to ``dst``; yield-from inside a process.
 
         ``ctx`` is the trace ID of the request the copy serves, if any —
         it ties the DMA hop into the request's causal trace.
+        ``telemetry`` is the hub of the component issuing the copy; it
+        defaults to the server's.  Several telemetered rigs can share a
+        server, and each copy must land in its issuer's hub, not in the
+        hub that attached to the server last.
         """
         t = Transfer(
             self.env,
@@ -138,7 +144,7 @@ class Server:
             nbytes,
             pieces=pieces,
             stats=self.transfer_stats,
-            telemetry=self.telemetry,
+            telemetry=self.telemetry if telemetry is None else telemetry,
             ctx=ctx,
         )
         return (yield from t.run())

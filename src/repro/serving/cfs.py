@@ -132,7 +132,9 @@ class CFSEngine(LLMEngineBase):
         else:
             self.server.dram.pool.reserve(f"{self.name}:ctx{request.req_id}", nbytes)
             self._dram_tags[request.req_id] = nbytes
-            yield from self.server.transfer(self.gpu, self.server.dram, nbytes)
+            yield from self.server.transfer(
+                self.gpu, self.server.dram, nbytes, telemetry=self.telemetry
+            )
         self.running.remove(request)
         self.swapped.append(request)
 
@@ -148,7 +150,9 @@ class CFSEngine(LLMEngineBase):
                 return
             tensor.free()
         else:
-            yield from self.server.transfer(self.server.dram, self.gpu, nbytes)
+            yield from self.server.transfer(
+                self.server.dram, self.gpu, nbytes, telemetry=self.telemetry
+            )
             self.server.dram.pool.release(f"{self.name}:ctx{request.req_id}")
             self._dram_tags.pop(request.req_id, None)
         self.swapped.remove(request)

@@ -181,7 +181,9 @@ class VLLMEngine(LLMEngineBase):
         if self.preemption_mode == "swap":
             nbytes = self.kv.swap_out(victim.req_id)
             self.server.dram.pool.reserve(f"{self.name}:swap{victim.req_id}", nbytes)
-            yield from self.server.transfer(self.gpu, self.server.dram, nbytes)
+            yield from self.server.transfer(
+                self.gpu, self.server.dram, nbytes, telemetry=self.telemetry
+            )
             self.swapped_out.append(victim)
         else:
             self.kv.release(victim.req_id)
@@ -206,7 +208,9 @@ class VLLMEngine(LLMEngineBase):
         ):
             request = self.swapped_out.pop(0)
             nbytes = self.kv.swap_in(request.req_id)
-            yield from self.server.transfer(self.server.dram, self.gpu, nbytes)
+            yield from self.server.transfer(
+                self.server.dram, self.gpu, nbytes, telemetry=self.telemetry
+            )
             self.server.dram.pool.release(f"{self.name}:swap{request.req_id}")
             self.running.append(request)
 

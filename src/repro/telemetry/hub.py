@@ -12,14 +12,24 @@ Every instrumented call site guards on ``telemetry is None``, so a run
 without telemetry pays exactly one ``None`` check per hook and records
 nothing; determinism digests are bit-identical either way.
 
+The per-event hooks (:meth:`Telemetry.record_transfer`,
+:meth:`Telemetry.token_generated`, :meth:`Telemetry.record_offload`)
+bind their labelled children on first use and reuse them, so the hot
+path does no ``Family.labels`` lookup and builds no track strings.
+
 Trace-ID propagation model
 --------------------------
 The trace ID of a request is its ``req_id``.  It travels as a plain
 ``Optional[int]`` (``ctx``): engines stamp it onto AQUA tensors at
 allocation (``to_responsive_tensor(..., ctx=req_id)``), AQUA-LIB passes
-it down to ``Server.transfer(..., ctx=...)``, and each completed DMA
-hop reports back through :meth:`Telemetry.record_transfer`.  The hub
-turns these sightings into Chrome flow events (``ph: s/t/f``) with the
+it down to ``Server.transfer(..., ctx=..., telemetry=<its hub>)``, each
+completed DMA hop reports back through :meth:`Telemetry.record_transfer`
+of that hub, and the finished fetch or flush through
+:meth:`Telemetry.record_offload`.  Several telemetered rigs can share
+one server and one coordinator; copies and coordinator calls are
+counted in the issuing component's hub, and only those issued without
+one fall back to the server's or the coordinator's hub.  The hub turns
+these sightings into Chrome flow events (``ph: s/t/f``) with the
 ``req_id`` as the flow id, so Perfetto draws arrows following one
 request across the engine, ``aqua:*`` and ``link:*`` tracks, and
 :meth:`Tracer.critical_path <repro.trace.Tracer.critical_path>` can

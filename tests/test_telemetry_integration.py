@@ -11,10 +11,13 @@ import json
 
 import pytest
 
+from repro.aqua import Coordinator
 from repro.experiments.harness import build_consumer_rig
 from repro.experiments.observe import observe_experiment
 from repro.faults import DmaStall, FaultInjector, FaultSchedule
-from repro.models import LLAMA2_13B, OPT_30B
+from repro.hardware import Server
+from repro.models import KANDINSKY, LLAMA2_13B, OPT_30B, SD_15
+from repro.sim import Environment
 from repro.telemetry import capture_trace, parse_prometheus_text
 from repro.workloads.arrivals import submit_all
 from repro.workloads.longprompt import long_prompt_requests
@@ -180,6 +183,58 @@ def test_telemetry_is_observation_only():
     digest_on, tokens_on = _digest_of_run(telemetry=True)
     assert tokens_on == tokens_off
     assert digest_on == digest_off
+
+
+# ---------------------------------------------------------------------------
+# Several telemetered pairs on one server (the Fig 18 layout)
+# ---------------------------------------------------------------------------
+def _family_total(hub, name: str) -> float:
+    return sum(value for _, _, value in hub.registry.get(name).samples())
+
+
+def test_shared_server_reports_each_copy_to_the_issuing_hub():
+    """Each pair's DMA traffic and coordinator calls land in its own
+    hub, not in whichever hub attached to the shared server last."""
+    env = Environment()
+    server = Server(env, n_gpus=4, topology="nvswitch")
+    coordinator = Coordinator()
+    rigs = [
+        build_consumer_rig(
+            "flexgen", OPT_30B, producer_model=producer, env=env, server=server,
+            consumer_gpu=i, producer_gpu=2 + i, coordinator=coordinator,
+            name_prefix=f"pair{i}-", telemetry=True,
+        ).start()
+        for i, producer in enumerate((SD_15, KANDINSKY))
+    ]
+    env.run(until=1.0)
+    for rig in rigs:
+        submit_all(
+            env, rig.consumer_engine, long_prompt_requests(start=2.0, max_new_tokens=20)
+        )
+    env.run(until=30.0)
+
+    link_bytes = link_transfers = 0.0
+    for rig in rigs:
+        hub = rig.telemetry
+        a, b = rig.consumer_lib.gpu, rig.producer_lib.gpu
+        route = server.interconnect.route(a, b)
+        own_tracks = {
+            f"link:{ch.name}"
+            for ch in route.channels + server.interconnect.route(b, a).channels
+        }
+        moved = _family_total(hub, "aqua_offload_bytes_total")
+        assert moved > 0
+        # Every copy of this pair goes consumer <-> producer, and each
+        # hop carries the full payload.
+        assert _family_total(hub, "aqua_link_bytes_total") == len(route.channels) * moved
+        assert _family_total(hub, "aqua_coordinator_requests_total") > 0
+        dma_tracks = {s.track for s in hub.tracer.spans if s.name == "dma"}
+        assert dma_tracks and dma_tracks <= own_tracks
+        link_bytes += _family_total(hub, "aqua_link_bytes_total")
+        link_transfers += _family_total(hub, "aqua_link_transfers_total")
+    stats = server.transfer_stats
+    assert link_bytes == 2 * stats.bytes_total
+    assert link_transfers == 2 * stats.count
 
 
 # ---------------------------------------------------------------------------
