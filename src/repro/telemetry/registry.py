@@ -344,13 +344,13 @@ def sample_key(name: str, labels: Iterable[tuple[str, str]]) -> str:
     """Canonical series key: the Prometheus sample notation.
 
     ``aqua_engine_tokens_generated_total{engine="flexgen-OPT-30B"}`` —
-    the same rendering the text exposition format uses, so scraped
-    series line up 1:1 with exported samples.
+    the same rendering the text exposition format uses (label values
+    escaped alike), so scraped series line up 1:1 with exported samples.
     """
     labels = tuple(labels)
     if not labels:
         return name
-    rendered = ",".join(f'{k}="{v}"' for k, v in labels)
+    rendered = ",".join(f'{k}="{_escape_label_value(str(v))}"' for k, v in labels)
     return f"{name}{{{rendered}}}"
 
 

@@ -76,6 +76,17 @@ def test_sample_key_matches_prometheus_notation():
     )
     assert key == 'aqua_engine_tokens_generated_total{engine="flexgen-OPT-30B"}'
 
+    # Quotes, backslashes and newlines are escaped as in the text format.
+    registry = Registry()
+    family = registry.counter("toy_total", "toy", ["tenant", "path"])
+    family.labels(tenant='say "hi"\\now', path="a\nb").inc()
+    labels = (("tenant", 'say "hi"\\now'), ("path", "a\nb"))
+    key = sample_key("toy_total", labels)
+    assert key == 'toy_total{tenant="say \\"hi\\"\\\\now",path="a\\nb"}'
+    # The key is the sample line of the exposition text, minus the value.
+    sample_line = registry.to_prometheus_text().splitlines()[2]
+    assert sample_line == f"{key} 1.0"
+
 
 # ---------------------------------------------------------------------------
 # MetricScraper
