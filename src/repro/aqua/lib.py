@@ -104,19 +104,16 @@ class AquaLib:
     # ==================================================================
     # Southbound helpers
     # ==================================================================
-    def _request(self, method: str, path: str, payload: dict):
-        # Counted in this lib's hub, also on a coordinator shared by
-        # several telemetered rigs.
-        return self.coordinator.request(method, path, payload, telemetry=self.telemetry)
-
+    # Every coordinator call passes this lib's hub, which counts it: the
+    # coordinator may be shared by several telemetered rigs.
     def _post(self, path: str, payload: dict) -> dict:
-        resp = self._request("POST", path, payload)
+        resp = self.coordinator.request("POST", path, payload, telemetry=self.telemetry)
         if not resp.ok:
             raise RuntimeError(f"coordinator POST {path} failed: {resp.body}")
         return resp.body
 
     def _get(self, path: str, payload: dict) -> dict:
-        resp = self._request("GET", path, payload)
+        resp = self.coordinator.request("GET", path, payload, telemetry=self.telemetry)
         if not resp.ok:
             raise RuntimeError(f"coordinator GET {path} failed: {resp.body}")
         return resp.body
@@ -264,7 +261,10 @@ class AquaLib:
         """
         if nbytes <= 0:
             raise ValueError(f"offer must be positive, got {nbytes}")
-        resp = self._request("POST", "/lease", {"producer": self.name, "nbytes": nbytes})
+        resp = self.coordinator.request(
+            "POST", "/lease", {"producer": self.name, "nbytes": nbytes},
+            telemetry=self.telemetry,
+        )
         if not resp.ok:
             return 0
         self.gpu.hbm.reserve(AQUA_OFFER_TAG, nbytes)
@@ -322,7 +322,10 @@ class AquaLib:
             return
         # Reserve the destination with the coordinator first; a 409 means
         # the lease vanished between /respond and now — stay put.
-        resp = self._request("POST", "/moved", {"tensor_id": tensor.id, "location": target})
+        resp = self.coordinator.request(
+            "POST", "/moved", {"tensor_id": tensor.id, "location": target},
+            telemetry=self.telemetry,
+        )
         if not resp.ok:
             return
         src_device = tensor._device

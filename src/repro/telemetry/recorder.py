@@ -175,12 +175,11 @@ class FlightRecorder:
         sample name (empty when no telemetry hub is attached)."""
         if self.telemetry is None:
             return {}
-        plan = self._plan
-        if plan is None or plan.registry is not self.telemetry.registry:
-            plan = self._plan = SamplePlan(self.telemetry.registry, _SNAPSHOT_FAMILIES)
-        plan.refresh()
+        if self._plan is None:
+            self._plan = SamplePlan(self.telemetry.registry, _SNAPSHOT_FAMILIES)
+        self._plan.refresh()
         snapshot: dict[str, float] = {}
-        for entry in plan.entries:
+        for entry in self._plan.entries:
             if len(entry) == 2:
                 snapshot[entry[1]] = entry[0].value
             else:

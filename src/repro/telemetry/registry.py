@@ -261,7 +261,7 @@ class Registry:
 
     def __init__(self) -> None:
         self._families: dict[str, Family] = {}
-        #: Bumped whenever a family or a labelled child is created, so a
+        #: Bumped whenever a family creates a child (a new series), so a
         #: :class:`SamplePlan` can tell when its sample list went stale.
         self.version = 0
 
@@ -279,7 +279,6 @@ class Registry:
             return existing
         family = Family(metric_cls, name, help, labelnames, registry=self, **kw)
         self._families[name] = family
-        self.version += 1
         return family
 
     def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Family:
@@ -365,8 +364,8 @@ class SamplePlan:
     keys and builds no histogram buckets.
 
     ``names`` restricts the plan to those families.  :meth:`refresh`
-    rebuilds ``entries`` only when the registry's :attr:`Registry.version`
-    moved, and renders keys for new children only.
+    rebuilds ``entries`` only when the registry's ``version`` moved (a
+    child was created), and renders keys for new children only.
     """
 
     def __init__(self, registry: Registry, names: Optional[Iterable[str]] = None) -> None:

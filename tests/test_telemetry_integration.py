@@ -11,16 +11,18 @@ import json
 
 import pytest
 
-from repro.aqua import Coordinator
+from repro.aqua import AquaLib, Coordinator
 from repro.experiments.harness import build_consumer_rig
 from repro.experiments.observe import observe_experiment
 from repro.faults import DmaStall, FaultInjector, FaultSchedule
 from repro.hardware import Server
+from repro.hardware.specs import GiB
 from repro.models import KANDINSKY, LLAMA2_13B, OPT_30B, SD_15
 from repro.sim import Environment
-from repro.telemetry import capture_trace, parse_prometheus_text
+from repro.telemetry import Telemetry, capture_trace, parse_prometheus_text
 from repro.workloads.arrivals import submit_all
 from repro.workloads.longprompt import long_prompt_requests
+from repro.workloads.sharegpt import sharegpt_requests
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +237,52 @@ def test_shared_server_reports_each_copy_to_the_issuing_hub():
     stats = server.transfer_stats
     assert link_bytes == 2 * stats.bytes_total
     assert link_transfers == 2 * stats.count
+
+
+def test_shared_server_reports_engine_swaps_to_the_engine_hub():
+    """A CFS engine without AQUA swaps KV to DRAM itself: those copies
+    land in its own hub too."""
+    env = Environment()
+    server = Server(env, n_gpus=2, topology="p2p")
+    rigs = [
+        build_consumer_rig(
+            "cfs", LLAMA2_13B, use_aqua=False, env=env, server=server,
+            consumer_gpu=i, name_prefix=f"t{i}-", telemetry=True,
+            consumer_kwargs={"max_batch": 4},
+        ).start()
+        for i in range(2)
+    ]
+    for i, rig in enumerate(rigs):
+        submit_all(env, rig.consumer_engine, sharegpt_requests(rate=4.0, count=20, seed=i))
+    env.run(until=20.0)
+
+    link_bytes = 0.0
+    for i, rig in enumerate(rigs):
+        samples = rig.telemetry.registry.get("aqua_link_bytes_total").samples()
+        per_channel = {dict(labels)["channel"]: value for _, labels, value in samples}
+        assert set(per_channel) == {
+            f"{server.name}:pcie-up:gpu{i}", f"{server.name}:pcie-down:gpu{i}"
+        }
+        link_bytes += sum(per_channel.values())
+    # GPU <-> DRAM routes are one hop.
+    assert link_bytes == server.transfer_stats.bytes_total
+
+
+def test_shared_coordinator_counts_migrations_in_the_consumer_hub():
+    env = Environment()
+    server = Server(env, n_gpus=4, topology="nvswitch")
+    coordinator = Coordinator()
+    hubs = [Telemetry(env), Telemetry(env)]
+    for i, hub in enumerate(hubs):
+        consumer = AquaLib(server.gpus[i], server, coordinator, telemetry=hub)
+        producer = AquaLib(server.gpus[2 + i], server, coordinator, telemetry=hub)
+        coordinator.pair(consumer.name, producer.name)
+        producer.complete_offer(10 * GiB)
+        consumer.to_responsive_tensor(2 * GiB)
+    coordinator.telemetry = hubs[1]  # the harness leaves the last rig's hub
+    coordinator.request("POST", "/reclaim_request", {"producer": server.gpus[2].name})
+    assert _family_total(hubs[0], "aqua_migrations_queued_total") == 1
+    assert _family_total(hubs[1], "aqua_migrations_queued_total") == 0
 
 
 # ---------------------------------------------------------------------------
