@@ -121,9 +121,9 @@ class MetricScraper:
 
     A scrape walks a :class:`~repro.telemetry.registry.SamplePlan`:
     each series key is rendered once, when its child first appears, and
-    the plan is rebuilt only after the registry gained a child.  Series are created in the order a walk over
-    ``Family.samples()`` would create them, which is the key order of
-    :meth:`to_dict`.
+    the plan is rebuilt only after the registry gained a child.  Series
+    are created in the order a walk over ``Family.samples()`` would
+    create them, which is the key order of :meth:`to_dict`.
     """
 
     def __init__(
