@@ -140,7 +140,7 @@ def resolve_task(path: str) -> Callable:
 def derive_seed(*parts) -> int:
     """Deterministic 32-bit seed from arbitrary labelling parts.
 
-    ``derive_seed("runall_parallel", 3)`` is stable across processes,
+    ``derive_seed("frontier", 3)`` is stable across processes,
     platforms and Python versions (it hashes the ``repr`` of each part),
     so per-cell seeds never depend on submission order.
     """

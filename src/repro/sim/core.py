@@ -143,9 +143,9 @@ class Environment:
         overcounts cancelled/defused events that were never popped.)
         The hot loops in :meth:`run` accumulate it in a local and flush
         in a ``finally`` block, so the value is only guaranteed current
-        between :meth:`run` / :meth:`step` calls — which is when the
-        benchmark harness (:mod:`repro.benchmarks`) reads it to report
-        kernel events/sec.
+        between :meth:`run` / :meth:`step` calls — which is when
+        perfbench reads it to report ``sim.events`` (and, with the sim
+        layer's self time, ``sim.us_per_event``) per workload.
         """
         return self._events_processed
 

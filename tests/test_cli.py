@@ -58,6 +58,30 @@ def test_fig18_command(capsys):
     assert "per-consumer tokens" in out
 
 
+def test_ambient_scrape_summarises_every_rig(tmp_path, capsys):
+    """fig18 builds five scraped rigs: the four NVSwitch pairs and the
+    2-GPU reference.  Each gets its own header and summary, in build
+    order, and the dashboard line names the one rig it charts."""
+    dashboard = tmp_path / "fig18.html"
+    assert main(["fig18", "--scrape-interval", "1",
+                 "--dashboard", str(dashboard)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    headers = [line for line in lines if line.startswith("observability: rig ")]
+    engines = [f"pair{i}-flexgen-OPT-30B" for i in range(4)] + ["flexgen-OPT-30B"]
+    assert len(headers) == len(engines)
+    for i, (header, engine) in enumerate(zip(headers, engines), 1):
+        assert header.startswith(f"observability: rig {i}/5 ({engine})")
+    # Every rig's SLO summary follows its own header.
+    for header in headers:
+        assert lines[lines.index(header) + 1].startswith("SLO burn-rate alerts:")
+    assert dashboard.exists()
+    assert any(
+        line.startswith(f"dashboard written to {dashboard}")
+        and "rig 1/5 (pair0-flexgen-OPT-30B)" in line
+        for line in lines
+    )
+
+
 def test_e2e_command(capsys):
     assert main(["e2e"]) == 0
     out = capsys.readouterr().out

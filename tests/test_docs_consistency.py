@@ -96,9 +96,10 @@ def test_cli_commands_documented_in_help():
 
 
 def test_cli_usages_in_docs_match_the_parser():
-    """Every ``aqua-repro <subcommand> --flag`` the docs show must parse:
-    the subcommand must exist and each flag must be an option of that
-    subcommand (catches docs drifting behind CLI changes)."""
+    """Every ``aqua-repro <subcommand> --flag`` the docs show, and every
+    ``python -m repro.cli <subcommand> --flag`` a CI workflow runs, must
+    parse: the subcommand must exist and each flag must be an option of
+    that subcommand (catches docs and CI drifting behind CLI changes)."""
     import argparse
 
     from repro.cli import build_parser
@@ -122,6 +123,21 @@ def test_cli_usages_in_docs_match_the_parser():
         for match in usage_re.finditer(doc.read_text()):
             flags = re.findall(r"--[a-z][a-z0-9-]*", match.group(2))
             usages.append((doc.name, match.group(1), flags))
+
+    # A workflow usage is "python -m repro.cli <word> ...rest of line",
+    # cut at a shell comment.  A folded (">") run step continues on
+    # indented lines that start with a flag; those count too.
+    workflow_re = re.compile(
+        r"python -m repro\.cli\s+([a-z][a-z0-9_]*)"
+        r"([^#\n]*(?:\n[ \t]+--[^#\n]*)*)"
+    )
+    workflows = sorted((ROOT / ".github" / "workflows").glob("*.yml"))
+    n_docs = len(usages)
+    for workflow in workflows:
+        for match in workflow_re.finditer(workflow.read_text()):
+            flags = re.findall(r"--[a-z][a-z0-9-]*", match.group(2))
+            usages.append((workflow.name, match.group(1), flags))
+    assert len(usages) > n_docs, "expected python -m repro.cli calls in CI"
 
     assert any(cmd == "replicate" for _, cmd, _ in usages)
     # docs/frontier.md must actually show the frontier command in use,
